@@ -198,16 +198,16 @@ def _bench_resume(quick: bool) -> dict:
     scenarios = expand_grids([grid_spec])
     run = suite_manifest(scenarios, samples, 7, None)
 
-    from repro.scenarios import suite as suite_module
+    from repro.faults import engine as engine_module
 
     evaluated = []
-    original_eval = suite_module._eval_suite_task
+    original_eval = engine_module._run_shard
 
-    def counting_eval(task):
+    def counting_eval(task, *args):
         evaluated.append(task.campaign_key)
-        return original_eval(task)
+        return original_eval(task, *args)
 
-    suite_module._eval_suite_task = counting_eval
+    engine_module._run_shard = counting_eval
     try:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "rows.jsonl")
@@ -244,7 +244,7 @@ def _bench_resume(quick: bool) -> dict:
                 result_frame(row.record() for row in resumed_rows), run
             )
     finally:
-        suite_module._eval_suite_task = original_eval
+        engine_module._run_shard = original_eval
 
     store_identical = resumed_text == full_text
     report_identical = resumed_report == full_report

@@ -38,9 +38,7 @@ abandoned as soon as its eccentricity exceeds the bound, and the first
 violating source short-circuits the whole evaluation.
 :meth:`RouteIndex.surviving_diameter` accepts the same optimisation through
 its ``cap`` parameter (it returns ``inf`` as soon as the cap is exceeded) and
-a ``kernel`` parameter selecting between the bitset kernel (default) and the
-historical set-based kernel, which is kept for equivalence testing and
-benchmarking.
+a ``kernel`` parameter selecting between the bitset and numpy kernels.
 
 Evaluation cursors
 ------------------
@@ -248,9 +246,6 @@ class RouteIndex:
         self._pairs_through: Dict[int, Set[IdPair]] = {}
         self._pair_routes: Dict[IdPair, Tuple[int, ...]] = {}
         self._multi = isinstance(routing, MultiRouting)
-        # Set-based kernel structures (PR-1 path), built lazily on first use:
-        # (base successor sets, node -> affected pairs, pair -> route node sets).
-        self._set_kernel = None
 
         id_of = self._id_of
         if self._multi:
@@ -292,9 +287,6 @@ class RouteIndex:
     # ------------------------------------------------------------------
     def __getstate__(self):
         state = self.__dict__.copy()
-        # The lazy set-kernel cache is redundant with the routing; dropping it
-        # keeps the pickled payload small when shipping the index to workers.
-        state["_set_kernel"] = None
         # The numpy kernel holds process-local scratch tensors and is cheap
         # to rebuild from the bitset rows; receivers rebuild it lazily.
         state["_np_kernel"] = None
@@ -486,10 +478,10 @@ class RouteIndex:
 
         The result is equivalent to :meth:`slim`'s graph-free form: the whole
         evaluation surface works (diameters, cursors, batches, every
-        backend), while :meth:`matches` is always ``False`` and the lazy set
-        kernel is unavailable.  ``backend`` overrides the exported backend
-        (resolved in *this* process, e.g. to honour a server's
-        ``--eval-backend`` flag against an artifact compiled elsewhere).
+        backend), while :meth:`matches` is always ``False``.  ``backend``
+        overrides the exported backend (resolved in *this* process, e.g. to
+        honour a server's ``--eval-backend`` flag against an artifact
+        compiled elsewhere).
         """
         index = object.__new__(cls)
         index.graph = None
@@ -501,7 +493,6 @@ class RouteIndex:
             else str(state["backend"])
         )
         index._np_kernel = None
-        index._set_kernel = None
         nodes = tuple(state["nodes"])
         index._nodes = nodes
         index._node_set = frozenset(nodes)
@@ -544,14 +535,12 @@ class RouteIndex:
         kill masks and node labels.  The slim index supports the whole
         evaluation surface (``surviving_diameter`` / ``..._at_most``,
         cursors, ``surviving_route_graph``, ``node_pool``); only
-        :meth:`matches` (always ``False``) and the lazy set kernel (which
-        needs the routing) are unavailable.
+        :meth:`matches` (always ``False``) is unavailable.
         """
         clone = object.__new__(RouteIndex)
         clone.__dict__.update(self.__dict__)
         clone.graph = None
         clone.routing = None
-        clone._set_kernel = None
         clone._np_kernel = None  # rebuilt lazily in the receiving process
         clone._node_pool = self.node_pool  # materialise before shipping
         return clone
@@ -669,15 +658,10 @@ class RouteIndex:
             ``None`` (default) follows the index's resolved backend
             (:attr:`eval_backend`).  An explicit ``"bitset"`` forces the
             big-int kernel, ``"numpy"`` the packed-uint64 kernel (raising
-            where numpy is unavailable), and ``"sets"`` the historical PR-1
-            set-based kernel, kept for equivalence testing and
-            benchmarking.  All kernels return identical values.
+            where numpy is unavailable).  Both kernels return identical
+            values.
         """
         fault_set = self._check_faults(faults)
-        if kernel == "sets":
-            if cap is not None:
-                raise ValueError("cap is only supported by the bitset kernel")
-            return _succ_diameter(self._set_surviving_succ(fault_set))
         if kernel is None:
             kernel = self.eval_backend
         if kernel == EVAL_BACKEND_NUMPY:
@@ -793,65 +777,6 @@ class RouteIndex:
             value
             for _child, value in cursor.batch_with_added(candidates, cap=cap)
         ]
-
-    # ------------------------------------------------------------------
-    # Historical set-based kernel (equivalence/benchmark reference)
-    # ------------------------------------------------------------------
-    def _ensure_set_kernel(
-        self,
-    ) -> Tuple[
-        Dict[Node, Set[Node]],
-        Dict[Node, Set[Pair]],
-        Dict[Pair, Tuple[FrozenSet[Node], ...]],
-    ]:
-        if self._set_kernel is None:
-            base_succ: Dict[Node, Set[Node]] = {node: set() for node in self._nodes}
-            pairs_through: Dict[Node, Set[Pair]] = {}
-            pair_routes: Dict[Pair, Tuple[FrozenSet[Node], ...]] = {}
-            if self._multi:
-                for pair in self.routing.pairs():
-                    routes = tuple(
-                        frozenset(path) for path in self.routing.get_routes(*pair)
-                    )
-                    if not routes:
-                        continue
-                    pair_routes[pair] = routes
-                    base_succ[pair[0]].add(pair[1])
-                    for node in frozenset().union(*routes):
-                        pairs_through.setdefault(node, set()).add(pair)
-            else:
-                for pair, path in self.routing.items():
-                    base_succ[pair[0]].add(pair[1])
-                    for node in path:
-                        pairs_through.setdefault(node, set()).add(pair)
-            self._set_kernel = (base_succ, pairs_through, pair_routes)
-        return self._set_kernel
-
-    def _set_surviving_succ(self, fault_set: FrozenSet[Node]) -> Dict[Node, Set[Node]]:
-        """Successor sets of ``R(G, rho)/F`` via the PR-1 set-based kernel."""
-        base_succ, pairs_through, pair_routes = self._ensure_set_kernel()
-        succ: Dict[Node, Set[Node]] = {}
-        if not fault_set:
-            for node, base in base_succ.items():
-                succ[node] = set(base)
-            return succ
-        for node, base in base_succ.items():
-            if node not in fault_set:
-                succ[node] = base - fault_set
-
-        affected: Set[Pair] = set()
-        for fault in fault_set:
-            affected |= pairs_through.get(fault, set())
-        for source, target in affected:
-            if source in fault_set or target in fault_set:
-                continue
-            if self._multi and any(
-                routes.isdisjoint(fault_set)
-                for routes in pair_routes[(source, target)]
-            ):
-                continue
-            succ[source].discard(target)
-        return succ
 
 
 class EvalCursor:
@@ -1398,36 +1323,3 @@ def _per_source_diameter(
         if eccentricity > worst:
             worst = eccentricity
     return worst, None, None
-
-
-def _succ_diameter(succ: Dict[Node, Set[Node]]) -> float:
-    """Diameter of the digraph given by successor sets, via level-set BFS.
-
-    The PR-1 set-based kernel, kept as the equivalence/benchmark reference
-    for the bitset kernel.  Matches the conventions of
-    :func:`repro.graphs.traversal.diameter`: ``inf`` for the empty or
-    non-strongly-connected graph, ``0`` for a single node.
-    """
-    total = len(succ)
-    if total == 0:
-        return INFINITY
-    worst = 0
-    for source in succ:
-        visited = {source}
-        frontier = {source}
-        eccentricity = 0
-        while frontier and len(visited) < total:
-            level: Set[Node] = set()
-            for node in frontier:
-                level |= succ[node]
-            level -= visited
-            if not level:
-                break
-            eccentricity += 1
-            visited |= level
-            frontier = level
-        if len(visited) != total:
-            return INFINITY
-        if eccentricity > worst:
-            worst = eccentricity
-    return worst

@@ -1,18 +1,19 @@
-"""The fault-campaign engine: indexed, sharded evaluation of fault batteries.
+"""The shard executor and the fault-campaign engine built on it.
 
 Every campaign, battery and sweep in the library reduces to the same loop —
-"for each fault set, compute the surviving diameter" — and before this module
-that loop re-walked every route of the routing for every fault set.
-:class:`CampaignEngine` centralises the loop and makes it fast twice over:
+"for each fault set, compute the surviving diameter" — evaluated against a
+:class:`~repro.core.route_index.RouteIndex` built once per routing (every
+fault set subtracts its affected arcs from the cached base route graph
+instead of re-walking all ``n^2`` routes).
 
-* **incremental evaluation** — a
-  :class:`~repro.core.route_index.RouteIndex` is built once per engine and
-  every fault set is evaluated by subtracting its affected arcs from the
-  cached base route graph instead of re-walking all ``n^2`` routes;
-* **parallel batteries** — fault batteries are cut into fixed-size shards
-  that a :mod:`multiprocessing` pool evaluates concurrently, streaming the
-  outcomes back in battery order so aggregation is incremental (bounded
-  memory) and byte-for-byte independent of the worker count.
+:class:`ShardExecutor` runs that loop for both campaign front ends,
+:class:`CampaignEngine` (one graph and routing) and
+:func:`repro.scenarios.suite.run_scenario_suite` (many scenarios).  Batteries
+are cut into :class:`ShardTask` descriptors, and one supervised
+:mod:`multiprocessing` pool — or the calling process, with one worker —
+evaluates them, streaming outcomes back in task order so aggregation is
+incremental (bounded memory) and byte-for-byte independent of the worker
+count.
 
 Determinism is a hard requirement: the same integer seed must produce the
 same campaign rows whether the battery runs in-process or across N workers.
@@ -32,9 +33,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import math
 import random as _random
 import weakref
 from typing import (
+    Dict,
     Hashable,
     Iterable,
     Iterator,
@@ -62,6 +65,7 @@ AnyRouting = Union[Routing, MultiRouting]
 RandomLike = Union[int, _random.Random, None]
 Outcome = Tuple[FaultSet, float]
 CampaignRow = Union[CampaignResult, DecisionCampaignResult]
+Workload = Tuple[RouteIndex, Optional[str]]
 
 #: Default number of fault sets per shard.  Sharding depends only on this
 #: value and the battery, never on the worker count, so results are
@@ -80,51 +84,119 @@ def shard_seed(seed: int, tag: str, shard: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def check_fault_size(label: str, fault_size: int, nodes: int) -> None:
+    """Refuse a fault size larger than the graph before any work is planned.
+
+    ``label`` names the campaign's scenario (or graph) in the message.
+    """
+    if fault_size > nodes:
+        raise ValueError(
+            f"{label}: fault size {fault_size} exceeds the graph's {nodes} nodes"
+        )
+
+
+def workload_key(
+    spec: Optional[str], density_threshold: Optional[int], backend: Optional[str]
+) -> str:
+    """Key of one (scenario, resolved index tunables) workload.
+
+    The tunables are part of the key so a parent-broadcast slim index (built
+    with the parent's resolved values) is never conflated with a worker-side
+    rebuild under different values.  Engine tasks carry no scenario, so
+    their single workload is ``workload_key(None, None, None)``.
+    """
+    return f"{spec}\x00{density_threshold}\x00{backend}"
+
+
 @dataclasses.dataclass(frozen=True)
-class _Shard:
-    """One unit of worker work: explicit fault sets or a generative spec.
+class ShardTask:
+    """One unit of worker work: a battery slice evaluated against one workload.
 
-    ``fault_sets`` carries an explicit battery slice.  When it is ``None``
-    the shard is *generative* and regenerated locally by whichever worker
-    receives it:
+    ``mode`` selects where the slice's fault sets come from:
 
-    * with ``exhaustive_size`` set, the shard covers the combinations of
-      that size with (deterministic) :func:`itertools.combinations` offsets
-      ``start .. start + count`` over the ``repr``-sorted node pool;
-    * otherwise it describes ``count`` random fault sets of size
-      ``fault_size`` drawn from ``random.Random(seed)``, with global sample
-      indices starting at ``start`` (used only for the descriptions).
+    * ``"explicit"`` — ``fault_sets`` carries them;
+    * ``"random"`` — ``count`` uniform sets of ``fault_size`` drawn from
+      ``random.Random(seed)``, with global sample indices starting at
+      ``start`` (used only for the descriptions);
+    * ``"random-p"`` — ``count`` binomial sets, each node failing with
+      probability ``p``;
+    * ``"exhaustive"`` — the combinations of ``fault_size`` at
+      :func:`itertools.combinations` offsets ``start .. start + count`` over
+      the ``repr``-sorted node pool;
+    * ``"greedy"`` — one adversarially-grown set of ``fault_size`` (the
+      batched greedy search with ``candidate_limit`` candidates per round,
+      seeded by ``seed``).
+
+    Every set is evaluated with the eccentricity cap ``cap`` (``None``:
+    exact diameters).  Capped outcomes are the exact diameter when it is at
+    most the cap and ``inf`` otherwise.
+
+    ``spec``, ``density_threshold`` and ``backend`` name the workload.  Suite
+    tasks carry their canonical scenario string and the **parent-resolved**
+    index tunables, so a worker that has to rebuild the scenario constructs
+    exactly the parent's index instead of consulting its own environment.
+    Engine tasks leave all three ``None``.  ``campaign_key`` is the suite
+    row (scenario position, campaign position) the outcomes fold into.
     """
 
+    mode: str
     fault_sets: Optional[Tuple[FaultSet, ...]] = None
     fault_size: int = 0
+    p: float = 0.0
     count: int = 0
     start: int = 0
     seed: int = 0
-    exhaustive_size: Optional[int] = None
+    cap: Optional[float] = None
+    candidate_limit: int = 0
+    spec: Optional[str] = None
+    campaign_key: Optional[Tuple[int, int]] = None
+    density_threshold: Optional[int] = None
+    backend: Optional[str] = None
+
+    @property
+    def key(self) -> str:
+        """The workload this task evaluates against (see :func:`workload_key`)."""
+        return workload_key(self.spec, self.density_threshold, self.backend)
+
+    @property
+    def label(self) -> str:
+        """Chaos-point label; ``REPRO_CHAOS`` match filters test it by substring."""
+        if self.spec is None:
+            # Existing match filters expect engine exhaustive shards to
+            # report size 0.
+            size = 0 if self.mode == "exhaustive" else self.fault_size
+            return f"shard:start={self.start},size={size}"
+        return f"{self.spec}#{self.campaign_key[1]}:start={self.start}"
 
     def materialise(self, pool: Union[Graph, Sequence[Node]]) -> Tuple[FaultSet, ...]:
-        """Return the shard's fault sets, generating them when needed.
+        """Return the slice's fault sets, generating them when needed.
 
         ``pool`` is the canonical repr-sorted node pool (see
         :attr:`RouteIndex.node_pool`); passing the pool rather than the graph
-        lets workers regenerate shards from the slim, graph-free index.  A
-        :class:`Graph` is also accepted and sorted on the fly.
+        lets workers regenerate slices from the slim, graph-free index.  A
+        :class:`Graph` is also accepted and sorted on the fly.  ``"greedy"``
+        tasks need the index itself and are grown by the worker instead.
         """
-        if self.fault_sets is not None:
+        if self.mode == "explicit":
             return self.fault_sets
         if isinstance(pool, Graph):
             pool = sorted(pool.nodes(), key=repr)
-        if self.exhaustive_size is not None:
+        if self.mode == "exhaustive":
             return tuple(
-                FaultSet(combo, description=f"exhaustive size {self.exhaustive_size}")
+                FaultSet(combo, description=f"exhaustive size {self.fault_size}")
                 for combo in _combinations_slice(
-                    pool, self.exhaustive_size, self.start, self.count
+                    pool, self.fault_size, self.start, self.count
                 )
             )
-        if self.fault_size > len(pool):
-            return ()
         rng = _random.Random(self.seed)
+        if self.mode == "random-p":
+            return tuple(
+                FaultSet(
+                    [node for node in pool if rng.random() < self.p],
+                    description=f"random p={self.p} #{self.start + offset}",
+                )
+                for offset in range(self.count)
+            )
         return tuple(
             FaultSet(
                 rng.sample(pool, self.fault_size),
@@ -142,8 +214,6 @@ def _combinations_slice(pool, size: int, start: int, count: int):
     so a shard deep into a large enumeration does not re-generate and skip
     every earlier combination the way ``islice`` would.
     """
-    import math
-
     n = len(pool)
     if size < 0 or size > n or count <= 0:
         return
@@ -183,56 +253,184 @@ def _combinations_slice(pool, size: int, start: int, count: int):
 # ----------------------------------------------------------------------
 # Worker-process plumbing
 # ----------------------------------------------------------------------
-# The engine builds its RouteIndex once in the parent and ships the *slim*
-# form of the pre-built index (bitset rows + kill masks + node labels, no
-# graph or routing objects — see :meth:`RouteIndex.slim`) to each worker
-# through the pool initializer.  Only shard descriptors and outcome rows
-# cross the process boundary afterwards; shards regenerate their fault sets
-# from the index's canonical node pool.
-_WORKER_INDEX: Optional[RouteIndex] = None
+# The parent builds every index once and the pool initializer installs the
+# *slim* forms (bitset rows + kill masks + node labels, no graph or routing
+# objects — see :meth:`RouteIndex.slim`) in each worker, keyed by workload.
+# Only shard descriptors and outcome rows cross the process boundary
+# afterwards; shards regenerate their fault sets from the index's canonical
+# node pool.  Without a shared payload (``share_index=False``) workers
+# rebuild each scenario from its canonical string instead, at most
+# ``_WORKLOAD_LIMIT`` at a time (FIFO), which is what makes the parent's
+# fingerprint verification a genuine cross-process determinism check.
+_WORKLOADS: Dict[str, Workload] = {}
+_WORKLOAD_LIMIT = 8
 
 
-def _init_worker(index: RouteIndex) -> None:
-    global _WORKER_INDEX
-    _WORKER_INDEX = index
+def _install_workloads(payload: Optional[Dict[str, Workload]]) -> None:
+    """Pool initializer: replace this worker's workloads with ``payload``.
 
-
-def _evaluate_shard(shard: _Shard) -> List[Outcome]:
-    index = _WORKER_INDEX
-    assert index is not None, "worker pool was not initialised"
-    chaos_point("task", f"shard:start={shard.start},size={shard.fault_size}")
-    fault_sets = shard.materialise(index.node_pool)
-    # One batched call per shard: the numpy backend evaluates the whole
-    # battery slice in a handful of vectorised level advances, and the
-    # bitset backend degrades to the same per-set loop as before.
-    return list(zip(fault_sets, index.surviving_diameters(fault_sets)))
-
-
-def _evaluate_shard_capped(task: Tuple[_Shard, float]) -> List[Outcome]:
-    """Evaluate one shard with an eccentricity cap (bounded decision path).
-
-    Outcomes report the exact diameter when it is at most the cap and
-    ``inf`` otherwise, which is all either consumer needs: the early-exit
-    scan treats any outcome strictly above the cap as a violation witness,
-    and the streaming decision campaign folds it into a failed row.
+    The registry is cleared first: under the ``fork`` start method a worker
+    would otherwise inherit whatever its parent process held.
     """
-    shard, bound = task
-    index = _WORKER_INDEX
-    assert index is not None, "worker pool was not initialised"
-    chaos_point("task", f"shard:start={shard.start},size={shard.fault_size}")
-    fault_sets = shard.materialise(index.node_pool)
-    return list(zip(fault_sets, index.surviving_diameters(fault_sets, cap=bound)))
+    _WORKLOADS.clear()
+    if payload:
+        _WORKLOADS.update(payload)
 
 
-def _shutdown_pool(pool) -> None:
-    # Hardened teardown: terminate, join each worker with a deadline, and
-    # escalate to SIGKILL for workers that ignore SIGTERM (satellite of the
-    # supervision layer — an interrupted run never leaves zombie workers).
-    shutdown_pool(pool)
+def _workload(task: ShardTask, workloads: Dict[str, Workload]) -> Workload:
+    """Look the task's index up, rebuilding its scenario on a miss."""
+    key = task.key
+    cached = workloads.get(key)
+    if cached is None:
+        from repro.scenarios.spec import parse_scenario
+
+        graph, result = parse_scenario(task.spec).build()
+        cached = (
+            RouteIndex(
+                graph,
+                result.routing,
+                density_threshold=task.density_threshold,
+                backend=task.backend,
+            ),
+            result.fingerprint(),
+        )
+        if len(workloads) >= _WORKLOAD_LIMIT:
+            workloads.pop(next(iter(workloads)))
+        workloads[key] = cached
+    return cached
+
+
+def _run_shard(
+    task: ShardTask, workloads: Optional[Dict[str, Workload]] = None
+) -> Tuple[Optional[str], List[Outcome]]:
+    """Evaluate one shard; returns ``(workload fingerprint, outcomes)``.
+
+    Pool workers evaluate against the installed ``_WORKLOADS``; the
+    executor's in-process path passes its own ``workloads``.
+    """
+    chaos_point("task", task.label)
+    index, fingerprint = _workload(
+        task, _WORKLOADS if workloads is None else workloads
+    )
+    if task.mode == "greedy":
+        from repro.faults.adversary import greedy_fault_set_from_index
+
+        fault_sets: Tuple[FaultSet, ...] = (
+            greedy_fault_set_from_index(
+                index,
+                task.fault_size,
+                candidate_limit=task.candidate_limit,
+                seed=task.seed,
+            ),
+        )
+    else:
+        fault_sets = task.materialise(index.node_pool)
+    # One batched call per shard: the numpy backend evaluates the whole
+    # slice in a handful of vectorised level advances, and the bitset
+    # backend degrades to a per-set loop.
+    values = index.surviving_diameters(fault_sets, cap=task.cap)
+    return fingerprint, list(zip(fault_sets, values))
+
+
+class ShardExecutor:
+    """Evaluate :class:`ShardTask` streams through one supervised pool.
+
+    Parameters
+    ----------
+    workloads:
+        ``{workload key: (index, fingerprint)}`` built in the parent.
+    workers:
+        ``1`` evaluates in-process with no :mod:`multiprocessing` at all;
+        larger values start one pool on first use whose initializer installs
+        the slim indexes in every worker.  The pool persists until
+        :meth:`close`, so consecutive runs pay its start-up once.
+    policy:
+        The :class:`~repro.runtime.SupervisorPolicy` of every run.
+    share_index:
+        ``False`` ships no indexes: workers rebuild each scenario from the
+        canonical spec its tasks carry.
+    supervised:
+        ``False`` drains tasks through a bare ``pool.imap`` with no
+        timeouts, retries or crash recovery — the benchmark baseline for the
+        supervisor's overhead gate.
+    """
+
+    def __init__(
+        self,
+        workloads: Dict[str, Workload],
+        workers: int = 1,
+        policy: Optional[SupervisorPolicy] = None,
+        share_index: bool = True,
+        supervised: bool = True,
+    ) -> None:
+        self.workloads = workloads
+        self.workers = workers
+        self.policy = policy if policy is not None else SupervisorPolicy()
+        self.share_index = share_index
+        self.supervised = supervised
+        self._pool = None
+        self._pool_finalizer = None
+
+    def _ensure_pool(self):
+        if self._pool is None:
+            import multiprocessing
+
+            payload = (
+                {
+                    key: (index.slim(), fingerprint)
+                    for key, (index, fingerprint) in self.workloads.items()
+                }
+                if self.share_index
+                else None
+            )
+            self._pool = multiprocessing.Pool(
+                self.workers, initializer=_install_workloads, initargs=(payload,)
+            )
+            self._pool_finalizer = weakref.finalize(self, shutdown_pool, self._pool)
+        return self._pool
+
+    def _rebuild_pool(self):
+        """Replace a broken or wedged pool; the initializer re-ships the payload."""
+        self.close()
+        return self._ensure_pool()
+
+    def _run_local(self, task: ShardTask):
+        return _run_shard(task, self.workloads)
+
+    def close(self) -> None:
+        """Terminate the worker pool (no-op when none was started)."""
+        if self._pool is not None:
+            self._pool_finalizer.detach()
+            self._pool_finalizer = None
+            shutdown_pool(self._pool)
+            self._pool = None
+
+    def run(self, tasks: Iterable[ShardTask]) -> Iterator[Tuple[ShardTask, object]]:
+        """Yield ``(task, result)`` in task order.
+
+        ``result`` is :func:`_run_shard`'s ``(fingerprint, outcomes)`` pair,
+        or a :class:`~repro.runtime.FailedTask` for a task the supervisor
+        quarantined (never under a ``strict`` policy, which raises instead).
+        """
+        if not self.supervised:
+            if self.workers == 1:
+                return ((task, self._run_local(task)) for task in tasks)
+            tasks = list(tasks)
+            return zip(tasks, self._ensure_pool().imap(_run_shard, tasks))
+        pooled = self.workers > 1
+        supervisor = Supervisor(
+            _run_shard,
+            ensure_pool=self._ensure_pool if pooled else None,
+            rebuild_pool=self._rebuild_pool if pooled else None,
+            local_fn=self._run_local,
+            policy=self.policy,
+            workers=self.workers,
+        )
+        return supervisor.run(tasks)
 
 
 class CampaignEngine:
-    """Indexed fault-campaign runner with an optional worker pool.
+    """Indexed fault-campaign runner: batteries to shards to aggregates.
 
     Parameters
     ----------
@@ -241,7 +439,8 @@ class CampaignEngine:
     workers:
         Number of worker processes.  ``1`` (the default) evaluates in-process
         with no :mod:`multiprocessing` involvement at all; any larger value
-        shards batteries across a pool.  Results are identical either way.
+        shards batteries across the :class:`ShardExecutor`'s pool.  Results
+        are identical either way.
     chunk_size:
         Fault sets per shard (streaming granularity).
     index:
@@ -262,10 +461,6 @@ class CampaignEngine:
         that exhausts its retry budget raises
         :class:`~repro.runtime.TaskFailedError` rather than being
         quarantined (the suite layer quarantines whole campaigns instead).
-    supervised:
-        ``False`` restores the bare ``pool.imap`` dispatch with no
-        timeouts, retries or crash recovery — the benchmark baseline for
-        the supervisor's overhead gate.
     """
 
     def __init__(
@@ -278,7 +473,6 @@ class CampaignEngine:
         density_threshold: Optional[Union[int, str]] = None,
         backend: Optional[str] = None,
         policy: Optional[SupervisorPolicy] = None,
-        supervised: bool = True,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
@@ -300,9 +494,7 @@ class CampaignEngine:
         self._policy = dataclasses.replace(
             policy if policy is not None else SupervisorPolicy(), strict=True
         )
-        self.supervised = supervised
-        self._pool = None
-        self._pool_finalizer = None
+        self._executor: Optional[ShardExecutor] = None
 
     # ------------------------------------------------------------------
     # Index access
@@ -322,29 +514,40 @@ class CampaignEngine:
     # ------------------------------------------------------------------
     # Shard construction and evaluation
     # ------------------------------------------------------------------
-    def _explicit_shards(self, fault_sets: Iterable[FaultSet]) -> Iterator[_Shard]:
+    def _explicit_shards(
+        self, fault_sets: Iterable[FaultSet], cap: Optional[float] = None
+    ) -> Iterator[ShardTask]:
         iterator = iter(fault_sets)
         while True:
             block = tuple(itertools.islice(iterator, self.chunk_size))
             if not block:
                 return
-            yield _Shard(fault_sets=block)
+            yield ShardTask(mode="explicit", fault_sets=block, cap=cap)
 
     def _random_shards(
-        self, fault_size: int, samples: int, seed: int, tag: str
-    ) -> Iterator[_Shard]:
+        self,
+        fault_size: int,
+        samples: int,
+        seed: int,
+        tag: str,
+        cap: Optional[float] = None,
+    ) -> Iterator[ShardTask]:
         for shard_index, start in enumerate(range(0, samples, self.chunk_size)):
-            count = min(self.chunk_size, samples - start)
-            yield _Shard(
+            yield ShardTask(
+                mode="random",
                 fault_size=fault_size,
-                count=count,
+                count=min(self.chunk_size, samples - start),
                 start=start,
                 seed=shard_seed(seed, tag, shard_index),
+                cap=cap,
             )
 
     def _exhaustive_shards(
-        self, max_faults: int, include_smaller: bool = True
-    ) -> Iterator[_Shard]:
+        self,
+        max_faults: int,
+        include_smaller: bool = True,
+        cap: Optional[float] = None,
+    ) -> Iterator[ShardTask]:
         """Generative shards covering every fault set of size <= ``max_faults``.
 
         Shard boundaries are deterministic :func:`itertools.combinations`
@@ -353,86 +556,23 @@ class CampaignEngine:
         their slice locally and the enumeration order matches
         :func:`repro.faults.adversary.all_fault_sets` exactly.
         """
-        import math
-
         n = self.graph.number_of_nodes()
         sizes = range(0, max_faults + 1) if include_smaller else [max_faults]
         for size in sizes:
             total = math.comb(n, size)
             for start in range(0, total, self.chunk_size):
-                yield _Shard(
-                    exhaustive_size=size,
+                yield ShardTask(
+                    mode="exhaustive",
+                    fault_size=size,
                     start=start,
                     count=min(self.chunk_size, total - start),
+                    cap=cap,
                 )
-
-    def _ensure_pool(self):
-        """Create (once) and return the engine's worker pool.
-
-        The pool — and with it the slim form of the pre-built RouteIndex
-        shipped to every worker — persists for the engine's lifetime, so a
-        sweep over many fault sizes pays the pool start-up and the index
-        serialisation exactly once (and the index itself is built exactly
-        once, in the parent).  Shipping ``index.slim()`` keeps the payload to
-        the bitset rows, kill masks and node labels: the graph and routing
-        objects never cross the process boundary.
-        """
-        if self._pool is None:
-            import multiprocessing
-
-            self._pool = multiprocessing.Pool(
-                self.workers,
-                initializer=_init_worker,
-                initargs=(self.index.slim(),),
-            )
-            self._pool_finalizer = weakref.finalize(
-                self, _shutdown_pool, self._pool
-            )
-        return self._pool
-
-    def _rebuild_pool(self):
-        """Tear down a broken/wedged pool and start a fresh one.
-
-        Called by the supervisor after a task timeout or a pool-machinery
-        failure; the fresh pool re-ships the slim index through its
-        initializer exactly like the first one did.
-        """
-        self.close()
-        return self._ensure_pool()
-
-    def _supervisor(self, worker_fn, local_fn) -> Supervisor:
-        return Supervisor(
-            worker_fn,
-            ensure_pool=self._ensure_pool,
-            rebuild_pool=self._rebuild_pool,
-            local_fn=local_fn,
-            policy=self._policy,
-            workers=self.workers,
-        )
-
-    def _local_shard(self, shard: _Shard) -> List[Outcome]:
-        """In-process equivalent of :func:`_evaluate_shard` (degraded mode)."""
-        index = self.index
-        fault_sets = shard.materialise(index.node_pool)
-        return list(zip(fault_sets, index.surviving_diameters(fault_sets)))
-
-    def _local_shard_capped(self, task: Tuple[_Shard, float]) -> List[Outcome]:
-        """In-process equivalent of :func:`_evaluate_shard_capped`."""
-        shard, bound = task
-        index = self.index
-        fault_sets = shard.materialise(index.node_pool)
-        return list(
-            zip(fault_sets, index.surviving_diameters(fault_sets, cap=bound))
-        )
 
     def close(self) -> None:
         """Terminate the worker pool (no-op when none was started)."""
-        if self._pool is not None:
-            if self._pool_finalizer is not None:
-                self._pool_finalizer.detach()
-                self._pool_finalizer = None
-            _shutdown_pool(self._pool)
-            self._pool = None
+        if self._executor is not None:
+            self._executor.close()
 
     def __enter__(self) -> "CampaignEngine":
         return self
@@ -440,56 +580,29 @@ class CampaignEngine:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _evaluate_shards(self, shards: Iterable[_Shard]) -> Iterator[Outcome]:
-        if self.workers == 1:
-            index = self.index
-            pool = index.node_pool
-            for shard in shards:
-                fault_sets = shard.materialise(pool)
-                yield from zip(fault_sets, index.surviving_diameters(fault_sets))
-            return
-        if not self.supervised:
-            for outcomes in self._ensure_pool().imap(_evaluate_shard, shards):
-                yield from outcomes
-            return
-        supervisor = self._supervisor(_evaluate_shard, self._local_shard)
-        # Strict policy: the supervisor raises instead of yielding
-        # FailedTask, so every result here is a real outcome list.
-        for _shard, outcomes in supervisor.run(shards):
-            yield from outcomes
+    def _ensure_executor(self) -> ShardExecutor:
+        """Return the engine's shard executor, created on first use.
 
-    def _evaluate_shards_capped(
-        self, shards: Iterable[_Shard], bound: float
-    ) -> Iterator[Outcome]:
-        """Yield ``(fault_set, capped_diameter)`` in battery order.
-
-        Every fault set is evaluated with an eccentricity cap of ``bound``:
-        the outcome is the exact diameter when it is at most the bound and
-        ``inf`` otherwise.  This is the streaming-decision path — cheaper
-        than exact evaluation because each source's BFS is abandoned the
-        moment it exceeds the cap and the first violating source
-        short-circuits its fault set's whole evaluation.
+        The executor — and with it the pool and the slim index shipped to
+        every worker — persists for the engine's lifetime, so a sweep over
+        many fault sizes pays the pool start-up and the index serialisation
+        once (and the index itself is built once, in the parent).
         """
-        if self.workers == 1:
-            index = self.index
-            pool = index.node_pool
-            for shard in shards:
-                fault_sets = shard.materialise(pool)
-                yield from zip(
-                    fault_sets, index.surviving_diameters(fault_sets, cap=bound)
-                )
-            return
-        tasks = ((shard, bound) for shard in shards)
-        if not self.supervised:
-            for outcomes in self._ensure_pool().imap(
-                _evaluate_shard_capped, tasks
-            ):
-                yield from outcomes
-            return
-        supervisor = self._supervisor(
-            _evaluate_shard_capped, self._local_shard_capped
-        )
-        for _task, outcomes in supervisor.run(tasks):
+        if self._executor is None:
+            self._executor = ShardExecutor(
+                {workload_key(None, None, None): (self.index, None)},
+                workers=self.workers,
+                policy=self._policy,
+            )
+        return self._executor
+
+    def _evaluate_shards(self, shards: Iterable[ShardTask]) -> Iterator[Outcome]:
+        """Yield ``(fault_set, diameter)`` in battery order.
+
+        The strict policy raises instead of yielding a
+        :class:`~repro.runtime.FailedTask`, so every result is real.
+        """
+        for _task, (_fingerprint, outcomes) in self._ensure_executor().run(shards):
             yield from outcomes
 
     # ------------------------------------------------------------------
@@ -519,114 +632,47 @@ class CampaignEngine:
     # Bounded-diameter decision scans
     # ------------------------------------------------------------------
     def _bounded_scan(
-        self, shards: Iterable[_Shard], bound: float
+        self, shards: Iterable[ShardTask], bound: float
     ) -> Tuple[float, Optional[FaultSet], int, bool]:
         """Early-exit scan: is every fault set's surviving diameter <= ``bound``?
 
         Returns ``(worst_diameter, worst_fault_set, evaluated, holds)``.
-        Every fault set is evaluated with an eccentricity cap of ``bound``
-        (each source's BFS is abandoned the moment it exceeds the cap), and
-        the scan stops at the *first* violating fault set in battery order:
-        on a violation ``worst_diameter`` is the exact diameter of that
-        witness and ``evaluated`` counts the sets inspected up to and
-        including it.  When the bound holds, every set was evaluated and
-        ``worst_diameter`` is the exact battery-wide maximum.
+        The shards carry an eccentricity cap of ``bound`` (each source's BFS
+        is abandoned the moment it exceeds the cap), and the scan stops at
+        the *first* violating fault set in battery order: on a violation
+        ``worst_diameter`` is the exact diameter of that witness and
+        ``evaluated`` counts the sets inspected up to and including it.
+        When the bound holds, every set was evaluated and ``worst_diameter``
+        is the exact battery-wide maximum.
 
-        The parallel path submits shards through a sliding window (a few
-        shards per worker) and stops submitting on the first violation, so
-        an early exit leaves at most one window of in-flight shards behind
-        instead of the whole remaining enumeration.
+        Evaluation is whole shards at a time, so a violation costs at most
+        one chunk of extra work in-process; the pooled supervisor keeps a
+        sliding window of a few shards per worker in flight, so an early
+        exit leaves at most one window behind instead of the whole remaining
+        enumeration.
         """
         worst = -1.0
         worst_set: Optional[FaultSet] = None
         evaluated = 0
-        if self.workers == 1:
-            index = self.index
-            pool = index.node_pool
-            for shard in shards:
-                fault_sets = shard.materialise(pool)
-                # Whole-shard batching mirrors the parallel path's shard
-                # granularity: a violating shard costs at most one chunk of
-                # extra evaluations, and the batched numpy path more than
-                # pays that back.
-                capped_values = index.surviving_diameters(fault_sets, cap=bound)
-                for fault_set, capped in zip(fault_sets, capped_values):
-                    evaluated += 1
-                    if capped > bound:
-                        return (
-                            index.surviving_diameter(fault_set),
-                            fault_set,
-                            evaluated,
-                            False,
-                        )
-                    if capped > worst:
-                        worst = capped
-                        worst_set = fault_set
-            return worst, worst_set, evaluated, True
-
-        if self.supervised:
-            # The supervisor's sliding window matches the legacy dispatch
-            # (workers * 4 shards in flight, results in submission order),
-            # so abandoning the generator on the first violation leaves at
-            # most one window of in-flight shards behind — exactly the old
-            # early-exit cost — while gaining timeouts and crash recovery.
-            supervisor = self._supervisor(
-                _evaluate_shard_capped, self._local_shard_capped
-            )
-            tasks = ((shard, bound) for shard in shards)
-            for _task, outcomes in supervisor.run(tasks):
-                for fault_set, capped in outcomes:
-                    evaluated += 1
-                    if capped > bound:
-                        return (
-                            self.index.surviving_diameter(fault_set),
-                            fault_set,
-                            evaluated,
-                            False,
-                        )
-                    if capped > worst:
-                        worst = capped
-                        worst_set = fault_set
-            return worst, worst_set, evaluated, True
-
-        import collections
-
-        pool = self._ensure_pool()
-        shard_iterator = iter(shards)
-        window = self.workers * 4
-        pending = collections.deque()
-
-        def refill() -> None:
-            while len(pending) < window:
-                shard = next(shard_iterator, None)
-                if shard is None:
-                    return
-                pending.append(
-                    pool.apply_async(_evaluate_shard_capped, ((shard, bound),))
+        for fault_set, capped in self._evaluate_shards(shards):
+            evaluated += 1
+            if capped > bound:
+                return (
+                    self.index.surviving_diameter(fault_set),
+                    fault_set,
+                    evaluated,
+                    False,
                 )
-
-        refill()
-        while pending:
-            for fault_set, capped in pending.popleft().get():
-                evaluated += 1
-                if capped > bound:
-                    return (
-                        self.index.surviving_diameter(fault_set),
-                        fault_set,
-                        evaluated,
-                        False,
-                    )
-                if capped > worst:
-                    worst = capped
-                    worst_set = fault_set
-            refill()
+            if capped > worst:
+                worst = capped
+                worst_set = fault_set
         return worst, worst_set, evaluated, True
 
     def bounded_worst_case(
         self, fault_sets: Iterable[FaultSet], bound: float
     ) -> Tuple[float, Optional[FaultSet], int, bool]:
         """Early-exit battery scan against ``bound`` (see :meth:`_bounded_scan`)."""
-        return self._bounded_scan(self._explicit_shards(fault_sets), bound)
+        return self._bounded_scan(self._explicit_shards(fault_sets, cap=bound), bound)
 
     def exhaustive_worst_case(
         self, max_faults: int, bound: float, include_smaller: bool = True
@@ -640,7 +686,10 @@ class CampaignEngine:
         in.
         """
         return self._bounded_scan(
-            self._exhaustive_shards(max_faults, include_smaller=include_smaller), bound
+            self._exhaustive_shards(
+                max_faults, include_smaller=include_smaller, cap=bound
+            ),
+            bound,
         )
 
     def profile(self, fault_sets: Iterable[FaultSet]) -> List[Outcome]:
@@ -715,22 +764,36 @@ class CampaignEngine:
         ``frame`` may name a :class:`~repro.results.frame.ResultFrame` built
         over the unified record schema; the campaign's record is appended to
         it (the returned view and the frame row are interconvertible).
+
+        A generated battery whose ``fault_size`` exceeds the node count is
+        refused with a :class:`ValueError` before anything is evaluated.
         """
         greedy_seed: RandomLike = seed
         if fault_sets is not None:
-            shards = self._explicit_shards(fault_sets)
-        elif isinstance(seed, _random.Random):
-            from repro.faults.adversary import random_fault_sets
-
-            shards = self._explicit_shards(
-                random_fault_sets(self.graph.nodes(), fault_size, samples, seed=seed)
-            )
+            shards = self._explicit_shards(fault_sets, cap=bound)
         else:
-            base = seed if seed is not None else _random.SystemRandom().getrandbits(64)
-            shards = self._random_shards(
-                fault_size, samples, base, tag=f"size={fault_size}"
+            check_fault_size(
+                self.graph.name or "graph", fault_size, self.graph.number_of_nodes()
             )
-            greedy_seed = shard_seed(base, f"greedy:size={fault_size}", 0)
+            if isinstance(seed, _random.Random):
+                from repro.faults.adversary import random_fault_sets
+
+                shards = self._explicit_shards(
+                    random_fault_sets(
+                        self.graph.nodes(), fault_size, samples, seed=seed
+                    ),
+                    cap=bound,
+                )
+            else:
+                base = (
+                    seed
+                    if seed is not None
+                    else _random.SystemRandom().getrandbits(64)
+                )
+                shards = self._random_shards(
+                    fault_size, samples, base, tag=f"size={fault_size}", cap=bound
+                )
+                greedy_seed = shard_seed(base, f"greedy:size={fault_size}", 0)
         run_greedy = greedy and fault_size > 0
         if run_greedy:
             from repro.faults.adversary import greedy_fault_set_from_index
@@ -741,14 +804,15 @@ class CampaignEngine:
                 candidate_limit=candidate_limit,
                 seed=greedy_seed,
             )
-            shards = itertools.chain(shards, self._explicit_shards([greedy_set]))
-        strategy = self.index.preferred_strategy()
-        if bound is not None:
-            result: CampaignRow = aggregate_decisions(
-                fault_size, bound, self._evaluate_shards_capped(shards, bound)
+            shards = itertools.chain(
+                shards, self._explicit_shards([greedy_set], cap=bound)
             )
+        strategy = self.index.preferred_strategy()
+        outcomes = self._evaluate_shards(shards)
+        if bound is not None:
+            result: CampaignRow = aggregate_decisions(fault_size, bound, outcomes)
         else:
-            result = aggregate_outcomes(fault_size, self._evaluate_shards(shards))
+            result = aggregate_outcomes(fault_size, outcomes)
         result.bfs_strategy = strategy
         result.eval_backend = self.index.eval_backend
         result.candidate_limit = candidate_limit if run_greedy else None

@@ -7,28 +7,20 @@ aggregates the results (mean / max diameter, fraction of disconnecting fault
 sets, distribution over fault-set sizes), which the examples and a couple of
 benchmarks report alongside the worst-case numbers.
 
-The evaluation loop itself lives in :class:`repro.faults.engine
-.CampaignEngine`: campaigns are evaluated through a precomputed
-:class:`~repro.core.route_index.RouteIndex` (bitset subtraction and
-level-mask BFS instead of re-walking every route) and can be sharded across
-worker processes with ``workers=N`` — the engine ships its pre-built index
-to the pool, and the aggregated rows are identical for any worker count.
+Campaigns themselves run through :class:`repro.faults.engine
+.CampaignEngine` (one graph and routing) or
+:func:`repro.scenarios.suite.run_scenario_suite` (many scenarios); both fold
+their streamed outcomes into the result views below through
+:func:`aggregate_outcomes` and :func:`aggregate_decisions`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import random as _random
 import statistics
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.routing import MultiRouting, Routing
 from repro.faults.models import FaultSet
-from repro.graphs.graph import Graph
-
-Node = Hashable
-AnyRouting = Union[Routing, MultiRouting]
-RandomLike = Union[int, _random.Random, None]
 
 
 @dataclasses.dataclass
@@ -155,11 +147,11 @@ class CampaignResult:
 class DecisionCampaignResult:
     """Aggregated pass/fail outcome of a *bounded-decision* campaign.
 
-    Produced by ``run_campaign(bound=...)``: every fault set of the battery
-    is evaluated with an eccentricity cap of ``bound`` (the
-    ``surviving_diameter_at_most`` decision) instead of an exact diameter, so
-    the campaign only learns — and only pays for — which side of the bound
-    each set falls on.  ``worst_diameter`` is the battery-wide maximum of the
+    Produced by ``CampaignEngine.run_campaign(bound=...)``: every fault set
+    of the battery is evaluated with an eccentricity cap of ``bound`` (the
+    ``surviving_diameter_at_most`` decision) instead of an exact diameter,
+    so the campaign only learns — and only pays for — which side of the
+    bound each set falls on.  ``worst_diameter`` is the battery-wide maximum of the
     *capped* outcomes: exact while the bound holds, ``inf`` as soon as any
     set violates it.
     """
@@ -418,86 +410,4 @@ def aggregate_decisions(
         faults_min=size_min,
         faults_mean=size_total / evaluated,
         faults_max=size_max,
-    )
-
-
-def run_campaign(
-    graph: Graph,
-    routing: AnyRouting,
-    fault_size: int,
-    samples: int = 100,
-    seed: RandomLike = None,
-    fault_sets: Optional[Iterable[FaultSet]] = None,
-    workers: int = 1,
-    index=None,
-    bound: Optional[float] = None,
-    frame=None,
-    greedy: bool = False,
-    candidate_limit: int = 40,
-):
-    """Inject ``samples`` random fault sets of the given size and summarise.
-
-    Parameters
-    ----------
-    fault_sets:
-        Optional explicit fault sets to evaluate instead of random sampling
-        (e.g. the output of :func:`repro.faults.adversary.combined_fault_sets`).
-    workers:
-        Number of worker processes for the evaluation (default sequential).
-        With an integer seed the result is identical for any worker count.
-    index:
-        Optional pre-built :class:`~repro.core.route_index.RouteIndex` for
-        ``(graph, routing)`` to reuse across calls.
-    bound:
-        Optional diameter bound selecting the streaming-decision path: the
-        campaign then evaluates every fault set with an eccentricity cap of
-        ``bound`` and returns a :class:`DecisionCampaignResult` of pass/fail
-        rows instead of exact-diameter statistics.
-    """
-    from repro.faults.engine import CampaignEngine
-
-    engine = CampaignEngine(graph, routing, workers=workers, index=index)
-    return engine.run_campaign(
-        fault_size,
-        samples=samples,
-        seed=seed,
-        fault_sets=fault_sets,
-        bound=bound,
-        frame=frame,
-        greedy=greedy,
-        candidate_limit=candidate_limit,
-    )
-
-
-def sweep_fault_sizes(
-    graph: Graph,
-    routing: AnyRouting,
-    sizes: Sequence[int],
-    samples: int = 50,
-    seed: RandomLike = None,
-    workers: int = 1,
-    index=None,
-    bound: Optional[float] = None,
-    frame=None,
-    greedy: bool = False,
-    candidate_limit: int = 40,
-) -> List:
-    """Run one campaign per fault-set size and return the results in order.
-
-    ``bound`` selects the streaming-decision path and ``greedy``/
-    ``candidate_limit`` add a greedy adversarial probe per size (see
-    :func:`run_campaign`); ``frame`` collects one unified record per
-    campaign.
-    """
-    from repro.faults.engine import CampaignEngine
-
-    engine = CampaignEngine(graph, routing, workers=workers, index=index)
-    return engine.sweep_fault_sizes(
-        sizes,
-        samples=samples,
-        seed=seed,
-        bound=bound,
-        frame=frame,
-        greedy=greedy,
-        candidate_limit=candidate_limit,
     )

@@ -8,7 +8,7 @@ crash/recovery discipline both sweep drivers share:
   retry with backoff, dead-worker detection with pool rebuild, poisoned
   task quarantine, and in-process degradation;
 * :func:`shutdown_pool` — hardened pool teardown (terminate, join with a
-  deadline, escalate to kill) shared by the engine and the suite runner;
+  deadline, escalate to kill) of the shard executor's pool;
 * :func:`chaos_point` — environment-triggered fault injection used by the
   chaos test-suite and CI to prove the recovery paths work.
 """

@@ -35,9 +35,10 @@ window of ``workers * window_per_worker`` in-flight tasks — exactly the
 order ``pool.imap`` would produce — so supervised and unsupervised runs are
 byte-identical on the clean path.
 
-The supervisor does **not** own pool construction: callers hand it
-``ensure_pool`` / ``rebuild_pool`` callbacks so engines keep their existing
-pool lifecycle (broadcast initializers, slim-index payloads, finalizers).
+The supervisor does **not** own pool construction.  Its one caller in the
+library, :class:`repro.faults.engine.ShardExecutor`, hands it
+``ensure_pool`` / ``rebuild_pool`` callbacks and keeps the pool lifecycle
+(broadcast initializer, slim-index payload, finalizer) to itself.
 
 :func:`shutdown_pool` is the shared hardened teardown: ``terminate()``,
 then ``join()`` every worker with a deadline, escalating to ``kill()`` for

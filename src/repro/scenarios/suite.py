@@ -19,11 +19,12 @@ count and any ``PYTHONHASHSEED``:
    same scenario yields byte-identical rows in every suite that contains it
    (split runs merge losslessly via ``repro report store_a store_b``);
 2. workers regenerate their battery slice locally from per-shard SHA-256
-   seeds; the parent builds each scenario exactly once and broadcasts the
-   slim route indexes through the pool initializer (one payload per worker
-   process, as the engine's pools do).  With ``share_index=False`` workers
-   instead rebuild graph, routing and index from the canonical scenario
-   string alone (the construction pipeline is bit-for-bit deterministic);
+   seeds; the parent builds each scenario exactly once, and the shared
+   :class:`~repro.faults.engine.ShardExecutor` broadcasts the slim route
+   indexes through its pool initializer (one payload per worker process).
+   With ``share_index=False`` workers instead rebuild graph, routing and
+   index from the canonical scenario string alone (the construction
+   pipeline is bit-for-bit deterministic);
 3. every worker reports the fingerprint of the routing it used, and the
    parent verifies it against its own construction — under
    ``share_index=False`` this is a genuine cross-process determinism check
@@ -45,15 +46,20 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import random as _random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.builder import build_routing
 from repro.core.construction import ConstructionResult
 from repro.core.route_index import RouteIndex
 from repro.exceptions import ReproError
-from repro.faults.engine import DEFAULT_CHUNK_SIZE, _combinations_slice, shard_seed
-from repro.faults.models import FaultSet
+from repro.faults.engine import (
+    DEFAULT_CHUNK_SIZE,
+    ShardExecutor,
+    ShardTask,
+    check_fault_size,
+    shard_seed,
+    workload_key,
+)
 from repro.faults.simulation import (
     CampaignResult,
     CampaignStatus,
@@ -61,82 +67,10 @@ from repro.faults.simulation import (
     aggregate_decisions,
     aggregate_outcomes,
 )
-from repro.runtime import (
-    FailedTask,
-    Supervisor,
-    SupervisorPolicy,
-    chaos_point,
-    shutdown_pool,
-)
+from repro.runtime import FailedTask, SupervisorPolicy
 from repro.scenarios.spec import Scenario, as_scenarios
 
 CampaignRow = Union[CampaignResult, DecisionCampaignResult, CampaignStatus]
-
-
-@dataclasses.dataclass(frozen=True)
-class _SuiteTask:
-    """One worker-sized unit: a battery slice of one scenario campaign.
-
-    ``campaign_key`` identifies the row the outcomes fold into (scenario
-    position, campaign position); shards of one campaign are numbered by
-    ``shard_index`` and generated locally by whichever process runs them.
-    ``mode`` selects the generator: ``"random"`` (uniform sets of
-    ``fault_size``), ``"random-p"`` (binomial per-node failures with
-    probability ``p``), ``"exhaustive"`` (combinations offsets
-    ``start .. start + count`` at ``fault_size``) or ``"greedy"`` (one
-    adversarially-grown set of ``fault_size`` via the batched greedy
-    search, with ``candidate_limit`` candidates per round).
-
-    ``density_threshold`` and ``backend`` carry the **parent-resolved**
-    index tunables.  Workers rebuilding a scenario construct their index
-    from these values instead of consulting their own environment — worker
-    processes whose environment diverges from the parent's (or from each
-    other's) would otherwise silently evaluate with different strategies.
-    ``None`` preserves the historical per-process resolution.
-    """
-
-    spec: str
-    campaign_key: Tuple[int, int]
-    mode: str
-    fault_size: int = 0
-    p: float = 0.0
-    count: int = 0
-    start: int = 0
-    seed: int = 0
-    bound: Optional[float] = None
-    density_threshold: Optional[int] = None
-    backend: Optional[str] = None
-    candidate_limit: int = 0
-
-    def materialise(self, pool: Sequence) -> Tuple[FaultSet, ...]:
-        """Regenerate this task's fault sets from the canonical node pool."""
-        if self.mode == "exhaustive":
-            return tuple(
-                FaultSet(combo, description=f"exhaustive size {self.fault_size}")
-                for combo in _combinations_slice(
-                    pool, self.fault_size, self.start, self.count
-                )
-            )
-        rng = _random.Random(self.seed)
-        if self.mode == "random-p":
-            sets = []
-            for offset in range(self.count):
-                failed = [node for node in pool if rng.random() < self.p]
-                sets.append(
-                    FaultSet(
-                        failed, description=f"random p={self.p} #{self.start + offset}"
-                    )
-                )
-            return tuple(sets)
-        if self.fault_size > len(pool):
-            return ()
-        return tuple(
-            FaultSet(
-                rng.sample(pool, self.fault_size),
-                description=f"random #{self.start + offset}",
-            )
-            for offset in range(self.count)
-        )
 
 
 @dataclasses.dataclass
@@ -206,117 +140,17 @@ class ScenarioRow:
 
 
 # ----------------------------------------------------------------------
-# Worker-side scenario cache
-# ----------------------------------------------------------------------
-# Workers rebuild each scenario exactly once per process: the canonical
-# string is the cache key, the deterministic construction pipeline is the
-# loader.  Holding (index, fingerprint) per spec keeps repeated shards of
-# the same scenario cheap.  The cache is bounded (FIFO) so long-lived
-# processes running many suites do not accumulate every graph and index
-# ever built, and it is cleared in each pool worker at start-up — under the
-# ``fork`` start method workers would otherwise inherit the parent's
-# entries, which would make the cross-process fingerprint verification
-# vacuous (the worker must genuinely rebuild from the canonical string).
-_SCENARIO_CACHE: Dict[str, Tuple[RouteIndex, str]] = {}
-_SCENARIO_CACHE_LIMIT = 8
-
-
-def _reset_worker_cache() -> None:
-    """Pool initializer: force workers to rebuild scenarios from scratch."""
-    _SCENARIO_CACHE.clear()
-
-
-def _init_suite_worker(payload: Optional[Dict[str, Tuple[RouteIndex, str]]]) -> None:
-    """Pool initializer: seed each worker with the parent's slim indexes.
-
-    ``payload`` maps canonical scenario strings to ``(RouteIndex.slim(),
-    fingerprint)`` pairs built once in the parent — the same broadcast
-    :class:`~repro.faults.engine.CampaignEngine` pools use — so workers
-    skip the per-process scenario rebuild entirely.  With ``payload=None``
-    (``share_index=False``) workers fall back to rebuilding every scenario
-    from its canonical string, which is what makes the parent's fingerprint
-    verification a genuine cross-process determinism check.
-    """
-    _reset_worker_cache()
-    if payload:
-        # Insert directly (no FIFO eviction): the payload is the complete,
-        # read-only working set for this suite run.
-        _SCENARIO_CACHE.update(payload)
-
-
-def _cache_workload(key: str, value: Tuple[RouteIndex, str]) -> None:
-    if key not in _SCENARIO_CACHE and len(_SCENARIO_CACHE) >= _SCENARIO_CACHE_LIMIT:
-        _SCENARIO_CACHE.pop(next(iter(_SCENARIO_CACHE)))
-    _SCENARIO_CACHE[key] = value
-
-
-def _workload_key(
-    spec: str, density_threshold: Optional[int], backend: Optional[str]
-) -> str:
-    """Cache key of one (scenario, resolved index tunables) workload.
-
-    The tunables are part of the key so a parent-broadcast slim index (built
-    with the parent's resolved values) is never conflated with a worker-side
-    rebuild under different values.
-    """
-    return f"{spec}\x00{density_threshold}\x00{backend}"
-
-
-def _scenario_workload(
-    spec: str,
-    density_threshold: Optional[int] = None,
-    backend: Optional[str] = None,
-) -> Tuple[RouteIndex, str]:
-    key = _workload_key(spec, density_threshold, backend)
-    cached = _SCENARIO_CACHE.get(key)
-    if cached is None:
-        from repro.scenarios.spec import parse_scenario
-
-        graph, result = parse_scenario(spec).build()
-        cached = (
-            RouteIndex(
-                graph,
-                result.routing,
-                density_threshold=density_threshold,
-                backend=backend,
-            ),
-            result.fingerprint(),
-        )
-        _cache_workload(key, cached)
-    return cached
-
-
-def _eval_suite_task(task: _SuiteTask):
-    """Evaluate one shard; returns (campaign_key, fingerprint, outcomes)."""
-    chaos_point(
-        "task", f"{task.spec}#{task.campaign_key[1]}:start={task.start}"
-    )
-    index, fingerprint = _scenario_workload(
-        task.spec, task.density_threshold, task.backend
-    )
-    if task.mode == "greedy":
-        from repro.faults.adversary import greedy_fault_set_from_index
-
-        fault_sets: Tuple[FaultSet, ...] = (
-            greedy_fault_set_from_index(
-                index,
-                task.fault_size,
-                candidate_limit=task.candidate_limit,
-                seed=task.seed,
-            ),
-        )
-    else:
-        fault_sets = task.materialise(index.node_pool)
-    if task.bound is not None:
-        values = index.surviving_diameters(fault_sets, cap=task.bound)
-    else:
-        values = index.surviving_diameters(fault_sets)
-    return task.campaign_key, fingerprint, list(zip(fault_sets, values))
-
-
-# ----------------------------------------------------------------------
 # Task expansion
 # ----------------------------------------------------------------------
+def _check_fault_sizes(scenario: Scenario, nodes: int) -> None:
+    """Refuse a fault model asking for more faults than the graph has nodes."""
+    model = scenario.faults
+    if model.kind == "sizes":
+        check_fault_size(scenario.canonical(), max(model.sizes), nodes)
+    elif model.kind == "exhaustive":
+        check_fault_size(scenario.canonical(), model.max_faults, nodes)
+
+
 def _campaign_plans(
     scenario: Scenario, samples: int, node_count: Optional[int] = None
 ) -> List[Tuple[str, int, float, int]]:
@@ -354,7 +188,7 @@ def _expand_tasks(
     tunables: Optional[Sequence[Optional[Tuple[int, str]]]] = None,
     greedy: bool = False,
     candidate_limit: int = 40,
-) -> Tuple[List[_SuiteTask], List[Tuple[Tuple[int, int], int]]]:
+) -> Tuple[List[ShardTask], List[Tuple[Tuple[int, int], int]]]:
     """Flatten the suite into shard tasks plus per-campaign metadata.
 
     ``tunables[i]`` optionally carries scenario ``i``'s parent-resolved
@@ -391,7 +225,7 @@ def _expand_tasks(
     skipped = set(skip)
     dropped = set(drop)
     occurrences: Dict[str, int] = {}
-    tasks: List[_SuiteTask] = []
+    tasks: List[ShardTask] = []
     campaigns: List[Tuple[Tuple[int, int], int]] = []
     for scenario_index, scenario in enumerate(scenarios):
         spec = scenario.canonical()
@@ -419,7 +253,7 @@ def _expand_tasks(
             for shard_index, start in enumerate(range(0, total, chunk_size)):
                 count = min(chunk_size, total - start)
                 tasks.append(
-                    _SuiteTask(
+                    ShardTask(
                         spec=spec,
                         campaign_key=campaign_key,
                         mode=mode,
@@ -428,7 +262,7 @@ def _expand_tasks(
                         count=count,
                         start=start,
                         seed=shard_seed(seed, tag, shard_index),
-                        bound=bound,
+                        cap=bound,
                         density_threshold=density_threshold,
                         backend=backend,
                     )
@@ -439,7 +273,7 @@ def _expand_tasks(
                 # ``start=total`` keeps its chaos/task tag distinct from
                 # every random shard of the campaign.
                 tasks.append(
-                    _SuiteTask(
+                    ShardTask(
                         spec=spec,
                         campaign_key=campaign_key,
                         mode="greedy",
@@ -447,7 +281,7 @@ def _expand_tasks(
                         count=1,
                         start=total,
                         seed=shard_seed(seed, tag + "|greedy", 0),
-                        bound=bound,
+                        cap=bound,
                         density_threshold=density_threshold,
                         backend=backend,
                         candidate_limit=candidate_limit,
@@ -575,12 +409,11 @@ def run_scenario_suite(
         uninterrupted run's.
     share_index:
         Ship each built scenario's slim route index to the worker pool
-        through the initializer (one payload per worker process, as
-        :class:`~repro.faults.engine.CampaignEngine` pools do) instead of
-        letting every worker rebuild every scenario.  Set to ``False`` to
-        restore the rebuild-and-verify behaviour, which turns the parent's
-        fingerprint comparison into a genuine cross-process determinism
-        check.
+        through the shard executor's initializer (one payload per worker
+        process) instead of letting every worker rebuild every scenario.
+        Set to ``False`` to restore the rebuild-and-verify behaviour, which
+        turns the parent's fingerprint comparison into a genuine
+        cross-process determinism check.
     skip_inapplicable:
         Drop scenarios whose construction does not apply to their graph
         (e.g. ``circular`` on a hypercube too small for its neighbourhood
@@ -644,6 +477,9 @@ def run_scenario_suite(
 
     Raises
     ------
+    ValueError
+        If a scenario's fault model asks for more faults than its graph has
+        nodes; raised while planning, before any campaign row is stored.
     RuntimeError
         If a worker's routing fingerprint disagrees with the parent's (with
         ``share_index=False``: the construction pipeline went
@@ -685,10 +521,9 @@ def run_scenario_suite(
     # Parent-side builds: row metadata + the reference fingerprints worker
     # results are verified against.  Scenarios whose campaigns are all
     # already stored are skipped outright — resuming a finished scenario
-    # costs no construction at all.  The sequential path shares the
-    # worker-side cache, so each scenario is built exactly once in-process;
-    # only the *slim* index (when a sharing pool will need it) outlives the
-    # loop, so the suite never holds every full index at once.
+    # costs no construction at all.  Each built index is registered with
+    # the shard executor under its workload key, so the in-process path
+    # evaluates against it directly and a pool ships its slim form.
     if isinstance(skip_inapplicable, bool):
         may_skip = (
             set(range(len(scenario_list))) if skip_inapplicable else set()
@@ -700,9 +535,7 @@ def run_scenario_suite(
         int, Tuple[Scenario, ConstructionResult, int, int, str, Tuple[int, str]]
     ] = {}
     dropped: Dict[int, str] = {}
-    payload: Optional[Dict[str, Tuple[RouteIndex, str]]] = (
-        {} if workers > 1 and share_index else None
-    )
+    workloads: Dict[str, Tuple[RouteIndex, str]] = {}
 
     def _record_inapplicable(
         scenario_index: int,
@@ -768,6 +601,7 @@ def run_scenario_suite(
         # graph axis (e.g. cycle:n=2) is a malformed grid and must fail the
         # run, not be mislabelled "strategy not applicable" and dropped.
         graph = scenario.build_graph()
+        _check_fault_sizes(scenario, graph.number_of_nodes())
         try:
             result = build_routing(graph, strategy=scenario.strategy, t=scenario.t)
         except (ReproError, ValueError) as exc:
@@ -796,13 +630,11 @@ def run_scenario_suite(
             backend=backend,
         )
         # The parent's resolved tunables travel with every task and key the
-        # worker-side cache, so shared slim indexes and worker rebuilds
-        # agree with the parent no matter what the workers' environment says.
+        # workload, so shared slim indexes and worker rebuilds agree with
+        # the parent no matter what the workers' environment says.
         resolved = (index.density_threshold, index.backend)
-        key = _workload_key(scenario.canonical(), *resolved)
-        _cache_workload(key, (index, result.fingerprint()))
-        if payload is not None:
-            payload[key] = (index.slim(), result.fingerprint())
+        key = workload_key(scenario.canonical(), *resolved)
+        workloads[key] = (index, result.fingerprint())
         built[scenario_index] = (
             scenario,
             result,
@@ -917,43 +749,17 @@ def run_scenario_suite(
         if store is not None:
             store.append(keys[campaign_key[0]][campaign_key[1]], row.record())
 
-    pool_state: Dict[str, object] = {"pool": None}
-
-    def _ensure_suite_pool():
-        if pool_state["pool"] is None:
-            import multiprocessing
-
-            pool_state["pool"] = multiprocessing.Pool(
-                workers, initializer=_init_suite_worker, initargs=(payload,)
-            )
-        return pool_state["pool"]
-
-    def _rebuild_suite_pool():
-        shutdown_pool(pool_state["pool"])
-        pool_state["pool"] = None
-        return _ensure_suite_pool()
-
+    executor = ShardExecutor(
+        workloads,
+        workers=workers,
+        policy=policy,
+        share_index=share_index,
+        supervised=supervised,
+    )
     try:
-        if supervised:
-            supervisor = Supervisor(
-                _eval_suite_task,
-                ensure_pool=_ensure_suite_pool if workers > 1 else None,
-                rebuild_pool=_rebuild_suite_pool if workers > 1 else None,
-                local_fn=_eval_suite_task,
-                policy=policy if policy is not None else SupervisorPolicy(),
-                workers=workers,
-            )
-            pairs = supervisor.run(tasks)
-        elif workers == 1:
-            pairs = ((task, _eval_suite_task(task)) for task in tasks)
-        else:
-            results_iter = _ensure_suite_pool().imap(_eval_suite_task, tasks)
-            pairs = (
-                (task, result) for result, task in zip(results_iter, tasks)
-            )
         current_key: Optional[Tuple[int, int]] = None
         current_outcomes: List = []
-        for task, result in pairs:
+        for task, result in executor.run(tasks):
             campaign_key = task.campaign_key
             if isinstance(result, FailedTask):
                 # One failed shard quarantines its whole campaign: the
@@ -962,7 +768,7 @@ def run_scenario_suite(
                 failed_reasons.setdefault(campaign_key, result.reason)
                 outcomes: List = []
             else:
-                _result_key, fingerprint, outcomes = result
+                fingerprint, outcomes = result
                 reference = built[campaign_key[0]][1].fingerprint()
                 if fingerprint != reference:
                     raise RuntimeError(
@@ -980,8 +786,7 @@ def run_scenario_suite(
         if current_key is not None:
             _finalise(current_key, current_outcomes)
     finally:
-        shutdown_pool(pool_state["pool"])
-        pool_state["pool"] = None
+        executor.close()
 
     # Assemble the rows in campaign order: stored rows for completed
     # campaigns, freshly computed rows for the rest.

@@ -180,21 +180,20 @@ class TestTunablesResolveOnceInParent:
         assert out.stdout.split() == ["7", "bitset"]
 
     def test_suite_task_tunables_override_worker_env(self, monkeypatch):
-        """_scenario_workload honours stamped task tunables over the env."""
-        from repro.scenarios.suite import _SCENARIO_CACHE, _scenario_workload
+        """Worker-side rebuilds honour stamped task tunables over the env."""
+        from repro.faults.engine import ShardTask, _workload
 
         monkeypatch.setenv("REPRO_BFS_DENSITY_THRESHOLD", "999")
         spec = "circulant:n=12,offsets=1+2/kernel"
-        _SCENARIO_CACHE.clear()
-        try:
-            index, _ = _scenario_workload(spec, density_threshold=5, backend="bitset")
-            assert index.density_threshold == 5
-            assert index.backend == EVAL_BACKEND_BITSET
-            # Historical path: no stamped tunables -> the worker env applies.
-            legacy, _ = _scenario_workload(spec)
-            assert legacy.density_threshold == 999
-        finally:
-            _SCENARIO_CACHE.clear()
+        stamped = ShardTask(
+            mode="random", spec=spec, density_threshold=5, backend="bitset"
+        )
+        index, _ = _workload(stamped, {})
+        assert index.density_threshold == 5
+        assert index.backend == EVAL_BACKEND_BITSET
+        # Historical path: no stamped tunables -> the worker env applies.
+        legacy, _ = _workload(ShardTask(mode="random", spec=spec), {})
+        assert legacy.density_threshold == 999
 
 
 class TestCursorLowerBoundMemoisation:

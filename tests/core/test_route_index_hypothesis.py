@@ -1,12 +1,12 @@
-"""Property-based equivalence: bitset vs sets vs numpy kernels vs naive path.
+"""Property-based equivalence: bitset vs numpy kernels vs naive path.
 
 For random graphs, routings (single routes and multiroutings) and fault
 sets, the :class:`~repro.core.route_index.RouteIndex` evaluation must
 reproduce the naive computation *node for node*: the same surviving route
 graph (same node set, same arc set) and the same diameter — through the
-bitset kernel (the default), the historical set-based kernel, and (when
-numpy is installed) the packed-uint64 numpy backend, all of which must
-agree with each other value-for-value.  The bounded decision API must
+bitset kernel (the default) and (when numpy is installed) the
+packed-uint64 numpy backend, which must agree with each other
+value-for-value.  The bounded decision API must
 satisfy ``surviving_diameter_at_most(F, b) <=> surviving_diameter(F) <= b``
 for every bound, and delta-derived cursors must equal from-scratch
 evaluations — on every backend.  This is the contract that lets every
@@ -147,16 +147,15 @@ class TestIndexedEquivalence:
     @SETTINGS
     @given(graph_routing_faults())
     def test_all_kernels_agree(self, case):
-        """Four-way equivalence: bitset == sets == numpy kernel == naive path.
+        """Three-way equivalence: bitset == numpy kernel == naive path.
 
-        The numpy leg silently degrades to three-way where numpy is not
+        The numpy leg silently degrades to two-way where numpy is not
         installed (the dedicated numpy suite below is skipped explicitly).
         """
         graph, routing, faults = case
         index = RouteIndex(graph, routing)
         naive = surviving_diameter(graph, routing, faults)
         assert index.surviving_diameter(faults, kernel="bitset") == naive
-        assert index.surviving_diameter(faults, kernel="sets") == naive
         if numpy_available():
             assert index.surviving_diameter(faults, kernel="numpy") == naive
 

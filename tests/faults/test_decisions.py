@@ -1,4 +1,4 @@
-"""Bounded-decision campaigns through ``run_campaign(bound=...)``."""
+"""Bounded-decision campaigns through ``CampaignEngine.run_campaign(bound=...)``."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from repro.core import RouteIndex, kernel_routing
-from repro.faults import CampaignEngine, DecisionCampaignResult, run_campaign
+from repro.faults import CampaignEngine, DecisionCampaignResult
 from repro.faults.adversary import random_fault_sets
 from repro.graphs import generators
 
@@ -77,7 +77,7 @@ class TestDecisionCampaigns:
 
     def test_module_level_run_campaign_bound(self, workload):
         graph, routing = workload
-        row = run_campaign(graph, routing, 2, samples=10, seed=1, bound=5)
+        row = CampaignEngine(graph, routing).run_campaign(2, samples=10, seed=1, bound=5)
         assert isinstance(row, DecisionCampaignResult)
 
     def test_decision_row_rendering(self, workload):

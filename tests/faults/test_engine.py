@@ -15,9 +15,7 @@ from repro.faults import (
     CampaignEngine,
     FaultSet,
     combined_fault_sets,
-    run_campaign,
     shard_seed,
-    sweep_fault_sizes,
 )
 from repro.graphs import generators
 
@@ -65,12 +63,14 @@ class TestEngineDeterminism:
 
     def test_module_level_wrappers_forward_workers(self, workload):
         graph, routing = workload
-        assert run_campaign(graph, routing, 2, samples=20, seed=9) == run_campaign(
-            graph, routing, 2, samples=20, seed=9, workers=2
-        )
-        assert _rows(
-            sweep_fault_sizes(graph, routing, [1, 2], samples=10, seed=3)
-        ) == _rows(sweep_fault_sizes(graph, routing, [1, 2], samples=10, seed=3, workers=2))
+        sequential = CampaignEngine(graph, routing)
+        with CampaignEngine(graph, routing, workers=2) as parallel:
+            assert sequential.run_campaign(
+                2, samples=20, seed=9
+            ) == parallel.run_campaign(2, samples=20, seed=9)
+            assert _rows(
+                sequential.sweep_fault_sizes([1, 2], samples=10, seed=3)
+            ) == _rows(parallel.sweep_fault_sizes([1, 2], samples=10, seed=3))
 
     def test_explicit_battery_same_for_any_worker_count(self, workload):
         graph, routing = workload
@@ -98,11 +98,11 @@ class TestEngineDeterminism:
         graph, routing = workload
         with CampaignEngine(graph, routing, workers=2) as engine:
             engine.run_campaign(1, samples=5, seed=0)
-            pool = engine._pool
+            pool = engine._executor._pool
             assert pool is not None
             engine.run_campaign(2, samples=5, seed=0)
-            assert engine._pool is pool
-        assert engine._pool is None
+            assert engine._executor._pool is pool
+        assert engine._executor._pool is None
         # Engine remains usable after close (a fresh pool is started).
         result = engine.run_campaign(1, samples=5, seed=0)
         assert result.samples == 5
@@ -147,15 +147,15 @@ class TestExhaustiveShards:
         graph, routing = workload
         engine = CampaignEngine(graph, routing, chunk_size=5)
         first = [
-            (shard.exhaustive_size, shard.start, shard.count)
+            (shard.mode, shard.fault_size, shard.start, shard.count)
             for shard in engine._exhaustive_shards(2)
         ]
         second = [
-            (shard.exhaustive_size, shard.start, shard.count)
+            (shard.mode, shard.fault_size, shard.start, shard.count)
             for shard in engine._exhaustive_shards(2)
         ]
         assert first == second
-        assert all(size is not None for size, _, _ in first)
+        assert all(mode == "exhaustive" for mode, _, _, _ in first)
 
     def test_exhaustive_worst_case_matches_explicit_battery(self, workload):
         from repro.faults import all_fault_sets
@@ -228,7 +228,7 @@ class TestBoundedScan:
 
 class TestIndexShipping:
     def test_prebuilt_index_is_shipped_to_workers(self, workload):
-        """The pool initializer must receive the slim form of the engine's index."""
+        """The executor's initializer must receive the slim engine index."""
         graph, routing = workload
         from repro.core import RouteIndex
         from repro.faults import engine as engine_module
@@ -257,12 +257,13 @@ class TestIndexShipping:
         original = multiprocessing.Pool
         multiprocessing.Pool = fake_pool_factory
         try:
-            engine._ensure_pool()
+            engine._ensure_executor()._ensure_pool()
         finally:
             multiprocessing.Pool = original
             engine.close()
         assert len(recorded["initargs"]) == 1
-        shipped = recorded["initargs"][0]
+        ((key, (shipped, fingerprint)),) = recorded["initargs"][0].items()
+        assert fingerprint is None
         # The slim payload shares the engine index's bitset structures but
         # drops the graph and routing objects (they never cross the boundary).
         assert shipped is not index
@@ -270,8 +271,8 @@ class TestIndexShipping:
         assert shipped._base_rows is index._base_rows
         assert shipped._kill_rows is index._kill_rows
         assert shipped.node_pool == index.node_pool
-        assert engine_module._WORKER_INDEX is shipped
-        engine_module._WORKER_INDEX = None
+        assert engine_module._WORKLOADS[key][0] is shipped
+        engine_module._WORKLOADS.clear()
 
     def test_parallel_results_with_prebuilt_index(self, workload):
         graph, routing = workload
@@ -308,7 +309,7 @@ class TestEngineSemantics:
     def test_oversized_fault_size_rejected(self, workload):
         graph, routing = workload
         engine = CampaignEngine(graph, routing)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="fault size 15 exceeds the graph's 14"):
             engine.run_campaign(graph.number_of_nodes() + 1, samples=5, seed=0)
 
     def test_invalid_parameters_rejected(self, workload):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import kernel_routing
-from repro.faults import FaultSet, run_campaign, sweep_fault_sizes
+from repro.faults import CampaignEngine, FaultSet
 from repro.graphs import generators
 
 
@@ -16,7 +16,9 @@ def routing_under_test():
 class TestRunCampaign:
     def test_basic_statistics(self, routing_under_test):
         graph, result = routing_under_test
-        campaign = run_campaign(graph, result.routing, fault_size=2, samples=20, seed=0)
+        campaign = CampaignEngine(graph, result.routing).run_campaign(
+            fault_size=2, samples=20, seed=0
+        )
         assert campaign.samples == 20
         assert campaign.fault_size == 2
         assert campaign.min_diameter <= campaign.mean_diameter <= campaign.max_diameter
@@ -24,8 +26,8 @@ class TestRunCampaign:
 
     def test_reproducible(self, routing_under_test):
         graph, result = routing_under_test
-        first = run_campaign(graph, result.routing, 2, samples=10, seed=7)
-        second = run_campaign(graph, result.routing, 2, samples=10, seed=7)
+        first = CampaignEngine(graph, result.routing).run_campaign(2, samples=10, seed=7)
+        second = CampaignEngine(graph, result.routing).run_campaign(2, samples=10, seed=7)
         assert first.mean_diameter == second.mean_diameter
         assert first.max_diameter == second.max_diameter
 
@@ -33,15 +35,13 @@ class TestRunCampaign:
         graph, result = routing_under_test
         from repro.core import surviving_diameter
 
-        campaign = run_campaign(graph, result.routing, 0, samples=3, seed=1)
+        campaign = CampaignEngine(graph, result.routing).run_campaign(0, samples=3, seed=1)
         assert campaign.max_diameter == surviving_diameter(graph, result.routing, ())
         assert campaign.disconnected_fraction == 0.0
 
     def test_explicit_fault_sets(self, routing_under_test):
         graph, result = routing_under_test
-        campaign = run_campaign(
-            graph,
-            result.routing,
+        campaign = CampaignEngine(graph, result.routing).run_campaign(
             fault_size=1,
             fault_sets=[FaultSet({0}), FaultSet({5})],
         )
@@ -50,11 +50,11 @@ class TestRunCampaign:
     def test_empty_fault_sets_rejected(self, routing_under_test):
         graph, result = routing_under_test
         with pytest.raises(ValueError):
-            run_campaign(graph, result.routing, 1, fault_sets=[])
+            CampaignEngine(graph, result.routing).run_campaign(1, fault_sets=[])
 
     def test_as_row(self, routing_under_test):
         graph, result = routing_under_test
-        campaign = run_campaign(graph, result.routing, 1, samples=5, seed=2)
+        campaign = CampaignEngine(graph, result.routing).run_campaign(1, samples=5, seed=2)
         row = campaign.as_row()
         assert row["faults"] == 1
         assert row["samples"] == 5
@@ -62,7 +62,7 @@ class TestRunCampaign:
 
     def test_worst_fault_set_recorded(self, routing_under_test):
         graph, result = routing_under_test
-        campaign = run_campaign(graph, result.routing, 2, samples=10, seed=3)
+        campaign = CampaignEngine(graph, result.routing).run_campaign(2, samples=10, seed=3)
         assert campaign.worst_fault_set is not None
         assert len(campaign.worst_fault_set) <= 2
 
@@ -76,8 +76,8 @@ class TestRunCampaign:
         isolating = FaultSet(set(graph.neighbors(3)), description="isolates 3")
         assert surviving_diameter(graph, result.routing, finite) < float("inf")
         assert surviving_diameter(graph, result.routing, isolating) == float("inf")
-        campaign = run_campaign(
-            graph, result.routing, fault_size=4, fault_sets=[finite, isolating]
+        campaign = CampaignEngine(graph, result.routing).run_campaign(
+            fault_size=4, fault_sets=[finite, isolating]
         )
         assert campaign.disconnected_fraction == 0.5
         assert campaign.worst_fault_set == isolating
@@ -86,8 +86,8 @@ class TestRunCampaign:
         graph, result = routing_under_test
         first = FaultSet({0}, description="first")
         second = FaultSet({6}, description="second")
-        campaign = run_campaign(
-            graph, result.routing, fault_size=1, fault_sets=[first, second]
+        campaign = CampaignEngine(graph, result.routing).run_campaign(
+            fault_size=1, fault_sets=[first, second]
         )
         assert campaign.worst_fault_set.description == "first"
 
@@ -95,16 +95,14 @@ class TestRunCampaign:
 class TestRealisedFaultSizes:
     def test_fixed_size_battery_records_constant_sizes(self, routing_under_test):
         graph, result = routing_under_test
-        campaign = run_campaign(graph, result.routing, 2, samples=10, seed=1)
+        campaign = CampaignEngine(graph, result.routing).run_campaign(2, samples=10, seed=1)
         assert campaign.faults_min == campaign.faults_max == 2
         assert campaign.faults_mean == 2.0
         assert not campaign.variable_fault_sizes
 
     def test_variable_battery_surfaces_min_mean_max(self, routing_under_test):
         graph, result = routing_under_test
-        campaign = run_campaign(
-            graph,
-            result.routing,
+        campaign = CampaignEngine(graph, result.routing).run_campaign(
             fault_size=0,
             fault_sets=[FaultSet(()), FaultSet({0}), FaultSet({1, 5, 7})],
         )
@@ -120,7 +118,7 @@ class TestRealisedFaultSizes:
 class TestRecordRoundTrip:
     def test_campaign_result_round_trips(self, routing_under_test):
         graph, result = routing_under_test
-        campaign = run_campaign(graph, result.routing, 2, samples=10, seed=3)
+        campaign = CampaignEngine(graph, result.routing).run_campaign(2, samples=10, seed=3)
         from repro.faults import CampaignResult
 
         record = campaign.record()
@@ -130,8 +128,8 @@ class TestRecordRoundTrip:
 
     def test_decision_result_round_trips(self, routing_under_test):
         graph, result = routing_under_test
-        campaign = run_campaign(
-            graph, result.routing, 2, samples=10, seed=3, bound=4
+        campaign = CampaignEngine(graph, result.routing).run_campaign(
+            2, samples=10, seed=3, bound=4
         )
         from repro.faults import DecisionCampaignResult
 
@@ -143,7 +141,7 @@ class TestRecordRoundTrip:
 
     def test_worst_fault_set_survives_the_round_trip(self, routing_under_test):
         graph, result = routing_under_test
-        campaign = run_campaign(graph, result.routing, 2, samples=10, seed=5)
+        campaign = CampaignEngine(graph, result.routing).run_campaign(2, samples=10, seed=5)
         from repro.faults import CampaignResult
 
         restored = CampaignResult.from_record(campaign.record())
@@ -152,8 +150,8 @@ class TestRecordRoundTrip:
     def test_disconnection_marks_worst_diam_infinite(self, routing_under_test):
         graph, result = routing_under_test
         isolating = FaultSet(set(graph.neighbors(3)))
-        campaign = run_campaign(
-            graph, result.routing, 4, fault_sets=[FaultSet({0}), isolating]
+        campaign = CampaignEngine(graph, result.routing).run_campaign(
+            4, fault_sets=[FaultSet({0}), isolating]
         )
         assert campaign.record()["worst_diam"] == float("inf")
 
@@ -162,8 +160,8 @@ class TestRecordRoundTrip:
         from repro.results import result_frame
 
         frame = result_frame()
-        campaign = run_campaign(
-            graph, result.routing, 1, samples=5, seed=2, frame=frame
+        campaign = CampaignEngine(graph, result.routing).run_campaign(
+            1, samples=5, seed=2, frame=frame
         )
         assert len(frame) == 1
         assert frame.row(0)["samples"] == campaign.samples
@@ -174,8 +172,8 @@ class TestRecordRoundTrip:
         from repro.results import result_frame
 
         frame = result_frame()
-        sweep_fault_sizes(
-            graph, result.routing, sizes=[0, 1, 2], samples=5, seed=0, frame=frame
+        CampaignEngine(graph, result.routing).sweep_fault_sizes(
+            sizes=[0, 1, 2], samples=5, seed=0, frame=frame
         )
         assert frame.column("faults") == (0, 1, 2)
 
@@ -183,13 +181,15 @@ class TestRecordRoundTrip:
 class TestSweep:
     def test_sweep_sizes(self, routing_under_test):
         graph, result = routing_under_test
-        campaigns = sweep_fault_sizes(graph, result.routing, sizes=[0, 1, 2], samples=5, seed=0)
+        campaigns = CampaignEngine(graph, result.routing).sweep_fault_sizes(
+            sizes=[0, 1, 2], samples=5, seed=0
+        )
         assert [c.fault_size for c in campaigns] == [0, 1, 2]
 
     def test_disconnection_appears_beyond_connectivity(self, routing_under_test):
         graph, result = routing_under_test
         # With far more faults than the connectivity the graph often
         # disconnects; the campaign must report it rather than crash.
-        campaign = run_campaign(graph, result.routing, 8, samples=20, seed=5)
+        campaign = CampaignEngine(graph, result.routing).run_campaign(8, samples=20, seed=5)
         assert campaign.samples == 20
         assert campaign.disconnected_fraction >= 0.0

@@ -3,9 +3,10 @@
 The supervision layer's whole claim is that fault recovery is *invisible in
 the results*: a sweep that loses a worker, hits a poisoned task, wedges on
 a hang or tears a store write must end with byte-identical store contents
-to an undisturbed run.  These tests drive :func:`run_scenario_suite` and
-the ``repro grid`` CLI under ``REPRO_CHAOS`` injections (see
-:mod:`repro.runtime.chaos`) and compare stores byte for byte against a
+to an undisturbed run.  These tests drive :func:`run_scenario_suite`,
+:class:`~repro.faults.engine.CampaignEngine` and the ``repro grid`` /
+``repro campaign`` CLI under ``REPRO_CHAOS`` injections (see
+:mod:`repro.runtime.chaos`) and compare results byte for byte against a
 golden run.
 
 The once-only ledger (``REPRO_CHAOS_LEDGER``) makes transient faults
@@ -23,7 +24,10 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import render_scaling_report
+from repro.core import kernel_routing
+from repro.faults import CampaignEngine
 from repro.faults.simulation import CampaignStatus
+from repro.graphs import generators
 from repro.results import ResultStore
 from repro.runtime import CHAOS_ENV, LEDGER_ENV, SupervisorPolicy
 from repro.scenarios import run_scenario_suite, suite_manifest
@@ -63,6 +67,28 @@ def _run_suite(store_path, *, workers=1, policy=FAST, skipped=None):
     finally:
         store.close()
     return rows
+
+
+def _cli(tmp_path, *argv, chaos=None, ledger=None):
+    """Run ``python -m repro ARGV`` in ``tmp_path`` with only the given chaos."""
+    env = {
+        key: value
+        for key, value in os.environ.items()
+        if key not in (CHAOS_ENV, LEDGER_ENV)
+    }
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    if chaos:
+        env[CHAOS_ENV] = chaos
+    if ledger:
+        env[LEDGER_ENV] = str(ledger)
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        cwd=str(tmp_path),
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +156,42 @@ class TestTransientFaults:
         rows = _run_suite(path, workers=2, policy=policy)
         assert path.read_bytes() == golden[0]
         assert [row.record() for row in rows] == golden[1]
+
+
+class TestEngineFaults:
+    """Engine campaigns share the suite's crash recovery."""
+
+    ARGS = [
+        "campaign", "--graph", "circulant:24,1,2", "--sizes", "1,2",
+        "--samples", "64", "--seed", "7", "--workers", "2",
+    ]
+
+    @staticmethod
+    def _rows(workers):
+        graph = generators.circulant_graph(14, [1, 2])
+        routing = kernel_routing(graph).routing
+        with CampaignEngine(graph, routing, workers=workers, policy=FAST) as engine:
+            rows = engine.sweep_fault_sizes([1, 2], samples=20, seed=5, bound=3)
+            return [row.record() for row in rows]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_poisoned_shard_retries_byte_identical(
+        self, monkeypatch, ledger, workers
+    ):
+        clean = self._rows(workers)
+        monkeypatch.setenv(CHAOS_ENV, "task:fail")
+        assert self._rows(workers) == clean
+        assert len(list(ledger.iterdir())) == 1  # the injection did fire
+
+    def test_killed_worker_campaign_stdout_byte_identical(self, tmp_path):
+        clean = _cli(tmp_path, *self.ARGS)
+        assert clean.returncode == 0, clean.stderr
+        ledger = tmp_path / "ledger"
+        ledger.mkdir()
+        killed = _cli(tmp_path, *self.ARGS, chaos="task:kill", ledger=ledger)
+        assert killed.returncode == 0, killed.stderr
+        assert len(list(ledger.iterdir())) == 1  # a worker really died
+        assert killed.stdout == clean.stdout
 
 
 class TestQuarantine:
@@ -200,32 +262,14 @@ class TestTornStoreWrites:
     GRID = "cycle:n=12/kernel/t=1/sizes:1-2"
     ARGS = ["--samples", "6", "--chunk-size", "4", "--seed", "3"]
 
-    def _cli(self, tmp_path, *argv, chaos=None):
-        env = {
-            key: value
-            for key, value in os.environ.items()
-            if key not in (CHAOS_ENV, LEDGER_ENV)
-        }
-        env["PYTHONPATH"] = str(REPO_ROOT / "src")
-        if chaos:
-            env[CHAOS_ENV] = chaos
-        return subprocess.run(
-            [sys.executable, "-m", "repro", *argv],
-            cwd=str(tmp_path),
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-
     def test_torn_append_salvage_resume_byte_identical(self, tmp_path):
-        golden = self._cli(
+        golden = _cli(
             tmp_path, "grid", self.GRID, *self.ARGS, "--store", "golden.jsonl"
         )
         assert golden.returncode == 0, golden.stderr
 
         # The injected writer tears its first append and dies (exit 23).
-        torn = self._cli(
+        torn = _cli(
             tmp_path,
             "grid",
             self.GRID,
@@ -240,7 +284,7 @@ class TestTornStoreWrites:
         assert chaos_store.read_bytes() != golden_bytes
 
         # Explicit salvage quarantines the torn tail...
-        salvage = self._cli(tmp_path, "salvage", "chaos.jsonl")
+        salvage = _cli(tmp_path, "salvage", "chaos.jsonl")
         assert salvage.returncode == 0, salvage.stderr
         assert "quarantined" in salvage.stdout
         sidecar = tmp_path / "chaos.jsonl.quarantine"
@@ -248,7 +292,7 @@ class TestTornStoreWrites:
         assert sidecar.read_bytes().strip()
 
         # ...and the resumed sweep finishes with the golden bytes exactly.
-        resumed = self._cli(
+        resumed = _cli(
             tmp_path,
             "grid",
             self.GRID,
@@ -261,11 +305,11 @@ class TestTornStoreWrites:
         assert chaos_store.read_bytes() == golden_bytes
 
     def test_resume_alone_salvages_torn_store(self, tmp_path):
-        golden = self._cli(
+        golden = _cli(
             tmp_path, "grid", self.GRID, *self.ARGS, "--store", "golden.jsonl"
         )
         assert golden.returncode == 0, golden.stderr
-        torn = self._cli(
+        torn = _cli(
             tmp_path,
             "grid",
             self.GRID,
@@ -276,7 +320,7 @@ class TestTornStoreWrites:
         )
         assert torn.returncode == 23
         # No explicit salvage: --resume quarantines the tail itself.
-        resumed = self._cli(
+        resumed = _cli(
             tmp_path,
             "grid",
             self.GRID,

@@ -234,12 +234,13 @@ class TestSuiteStoreResume:
             expected = run_scenario_suite(SMALL_SCENARIOS, samples=6, seed=0, store=store)
         # Re-running against the complete store must not evaluate any task
         # nor build any scenario.
+        from repro.faults import engine as engine_module
         from repro.scenarios import suite as suite_module
 
-        def fail_eval(task):  # pragma: no cover - must not run
+        def fail_eval(task, *args):  # pragma: no cover - must not run
             raise AssertionError("task evaluated during a fully-resumed run")
 
-        monkeypatch.setattr(suite_module, "_eval_suite_task", fail_eval)
+        monkeypatch.setattr(engine_module, "_run_shard", fail_eval)
         build_calls = []
         original_build = suite_module.Scenario.build
         monkeypatch.setattr(
@@ -267,16 +268,16 @@ class TestSuiteStoreResume:
         lines = full_text.splitlines(keepends=True)
         path.write_text("".join(lines[:3]))
 
-        from repro.scenarios import suite as suite_module
+        from repro.faults import engine as engine_module
 
         evaluated = []
-        original_eval = suite_module._eval_suite_task
+        original_eval = engine_module._run_shard
 
-        def counting_eval(task):
+        def counting_eval(task, *args):
             evaluated.append(task.campaign_key)
-            return original_eval(task)
+            return original_eval(task, *args)
 
-        monkeypatch.setattr(suite_module, "_eval_suite_task", counting_eval)
+        monkeypatch.setattr(engine_module, "_run_shard", counting_eval)
         with ResultStore.open(str(path), run) as store:
             resumed = run_scenario_suite(SMALL_SCENARIOS, samples=6, seed=0, store=store)
         # The two stored campaigns were skipped...
@@ -379,15 +380,15 @@ class TestStrategyAxisSuite:
         path.write_text("".join(lines[:3]) + lines[3][: len(lines[3]) // 2])
 
         evaluated = []
-        from repro.scenarios import suite as suite_module
+        from repro.faults import engine as engine_module
 
-        original_eval = suite_module._eval_suite_task
+        original_eval = engine_module._run_shard
 
-        def counting_eval(task):
+        def counting_eval(task, *args):
             evaluated.append(task.campaign_key)
-            return original_eval(task)
+            return original_eval(task, *args)
 
-        monkeypatch.setattr(suite_module, "_eval_suite_task", counting_eval)
+        monkeypatch.setattr(engine_module, "_run_shard", counting_eval)
         with ResultStore.open(str(path), run) as store:
             resumed_rows = run_scenario_suite(
                 scenarios, samples=6, seed=9, store=store
@@ -499,47 +500,55 @@ class TestSharedIndexPayload:
         assert shared == rebuilt == sequential
 
     def test_initializer_seeds_worker_cache(self):
-        from repro.scenarios import suite as suite_module
+        from repro.faults import engine as engine_module
 
         payload = {"spec-a": (object(), "fp-a")}
-        suite_module._init_suite_worker(payload)
+        engine_module._install_workloads(payload)
         try:
-            assert suite_module._SCENARIO_CACHE["spec-a"] == payload["spec-a"]
+            assert engine_module._WORKLOADS["spec-a"] == payload["spec-a"]
         finally:
-            suite_module._SCENARIO_CACHE.clear()
+            engine_module._WORKLOADS.clear()
 
     def test_initializer_none_clears_cache(self):
-        from repro.scenarios import suite as suite_module
+        from repro.faults import engine as engine_module
 
-        suite_module._cache_workload("stale", (None, "fp"))
-        suite_module._init_suite_worker(None)
-        assert suite_module._SCENARIO_CACHE == {}
+        engine_module._WORKLOADS["stale"] = (None, "fp")
+        engine_module._install_workloads(None)
+        assert engine_module._WORKLOADS == {}
 
 
 class TestScenarioCache:
     def test_cache_is_bounded(self):
-        from repro.scenarios import suite as suite_module
+        from repro.faults import engine as engine_module
+        from repro.faults.engine import ShardTask
 
-        suite_module._SCENARIO_CACHE.clear()
-        for i in range(suite_module._SCENARIO_CACHE_LIMIT + 5):
-            suite_module._cache_workload(f"spec-{i}", (None, f"fp-{i}"))
-        assert (
-            len(suite_module._SCENARIO_CACHE)
-            == suite_module._SCENARIO_CACHE_LIMIT
-        )
-        # FIFO: the oldest entries were evicted, the newest survive.
-        assert f"spec-{suite_module._SCENARIO_CACHE_LIMIT + 4}" in (
-            suite_module._SCENARIO_CACHE
-        )
-        assert "spec-0" not in suite_module._SCENARIO_CACHE
-        suite_module._SCENARIO_CACHE.clear()
+        limit = engine_module._WORKLOAD_LIMIT
+        # Distinct density thresholds give distinct workload keys, so each
+        # lookup misses and rebuilds the scenario.
+        tasks = [
+            ShardTask(mode="random", spec="cycle:n=8/kernel", density_threshold=i)
+            for i in range(1, limit + 6)
+        ]
+        engine_module._install_workloads(None)
+        try:
+            for task in tasks:
+                engine_module._workload(task, engine_module._WORKLOADS)
+            assert len(engine_module._WORKLOADS) == limit
+            # FIFO: the oldest entries were evicted, the newest survive.
+            assert tasks[-1].key in engine_module._WORKLOADS
+            assert tasks[0].key not in engine_module._WORKLOADS
+        finally:
+            engine_module._WORKLOADS.clear()
 
     def test_worker_reset_clears_cache(self):
-        from repro.scenarios import suite as suite_module
+        from repro.faults import engine as engine_module
 
-        suite_module._cache_workload("spec-x", (None, "fp"))
-        suite_module._reset_worker_cache()
-        assert suite_module._SCENARIO_CACHE == {}
+        engine_module._WORKLOADS["spec-x"] = (None, "fp")
+        engine_module._install_workloads({"spec-y": (None, "fp")})
+        try:
+            assert engine_module._WORKLOADS == {"spec-y": (None, "fp")}
+        finally:
+            engine_module._WORKLOADS.clear()
 
 
 class TestGreedyProbe:

@@ -256,6 +256,23 @@ class TestGridCommand:
         assert main(argv) == 2
         assert "already exists" in capsys.readouterr().err
 
+    def test_grid_rejects_fault_size_beyond_graph_before_storing(
+        self, tmp_path, capsys
+    ):
+        store = tmp_path / "rows.jsonl"
+        for spec, size in [
+            ("cycle:n=6/kernel/sizes:1-9", 9),
+            ("cycle:n=6/kernel/exhaustive:f=7", 7),
+        ]:
+            argv = ["grid", spec, "--samples", "2", "--store", str(store)]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "cycle:n=6/kernel" in err
+            assert f"fault size {size} exceeds the graph's 6 nodes" in err
+            # Only the run manifest was written: no campaign row landed.
+            assert len(store.read_text().splitlines()) == 1
+            store.unlink()
+
     def test_grid_resume_requires_store(self, capsys):
         assert main(["grid", "hypercube:d=3/kernel/sizes:1", "--resume"]) == 2
         assert "--resume needs --store" in capsys.readouterr().err
