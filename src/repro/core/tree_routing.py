@@ -27,7 +27,6 @@ from repro.graphs.disjoint_paths import (
     vertex_disjoint_paths,
 )
 from repro.graphs.graph import Graph
-from repro.graphs.traversal import bfs_distances
 
 Node = Hashable
 Path = List[Node]
@@ -36,17 +35,23 @@ Path = List[Node]
 def _pick_anchor(graph: Graph, source: Node, separating_set: Set[Node]) -> Node:
     """Choose a node separated from ``source`` by ``separating_set``.
 
-    Lemma 2 needs "some node y disconnected from x by M".  We remove ``M`` and
-    return any node outside the component containing ``source``.
+    Lemma 2 needs "some node y disconnected from x by M".  We search from
+    ``source`` without entering ``M`` and return the first node (in graph
+    order) outside ``M`` that the search did not reach.
     """
-    remaining = graph.without_nodes(separating_set)
-    if not remaining.has_node(source):
+    if source in separating_set or not graph.has_node(source):
         raise ConstructionError(
             f"tree routing source {source!r} must not belong to the separating set"
         )
-    reachable = set(bfs_distances(remaining, source))
-    for node in remaining.nodes():
-        if node not in reachable:
+    reachable = {source}
+    queue = [source]
+    for node in queue:
+        for neighbor in graph.iter_neighbors(node):
+            if neighbor not in reachable and neighbor not in separating_set:
+                reachable.add(neighbor)
+                queue.append(neighbor)
+    for node in graph.nodes():
+        if node not in reachable and node not in separating_set:
             return node
     raise ConstructionError(
         f"set {sorted(map(repr, separating_set))} does not separate {source!r} "

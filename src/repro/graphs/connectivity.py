@@ -8,8 +8,8 @@ prerequisite for everything else.  We use the classical reduction:
   the max flow from ``u`` to ``v`` in the *node-split* digraph, where every
   node ``x`` becomes ``x_in -> x_out`` with capacity 1 and every undirected
   edge ``{x, y}`` becomes the two arcs ``x_out -> y_in`` and ``y_out -> x_in``
-  with capacity 1 (capacity infinity works equally; 1 suffices because the
-  flow is bounded by the node capacities);
+  with capacity ``n + 1`` (:func:`repro.graphs.flow.vertex_split` builds that
+  network once per graph and reuses it for every pair);
 * **global vertex connectivity** is the minimum of ``kappa(v, w)`` over a
   dominating choice of pairs (a fixed node against all non-neighbours, plus
   all pairs of its neighbours' non-adjacent pairs) — we use the simpler exact
@@ -25,34 +25,11 @@ import itertools
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.exceptions import NodeNotFoundError
-from repro.graphs.flow import FlowNetwork
+from repro.graphs.flow import FlowNetwork, vertex_split
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import is_connected
 
 Node = Hashable
-
-#: Node-split suffixes.  Tuples are used so that arbitrary hashable node
-#: labels never collide with split labels.
-_IN = "in"
-_OUT = "out"
-
-
-def _split_network(graph: Graph, source: Node, target: Node) -> FlowNetwork:
-    """Build the node-split unit-capacity flow network for ``kappa(source, target)``.
-
-    Internal nodes have capacity 1 (their in->out arc); the source and target
-    are given effectively infinite internal capacity so they never act as the
-    cut.
-    """
-    network = FlowNetwork()
-    large = graph.number_of_nodes() + 1
-    for node in graph.nodes():
-        capacity = large if node in (source, target) else 1
-        network.add_arc((node, _IN), (node, _OUT), capacity)
-    for u, v in graph.edges():
-        network.add_arc((u, _OUT), (v, _IN), large)
-        network.add_arc((v, _OUT), (u, _IN), large)
-    return network
 
 
 def local_node_connectivity(
@@ -64,6 +41,11 @@ def local_node_connectivity(
     are computed on the graph with that edge removed, matching the standard
     definition (``kappa(u, v)`` is infinite only in complete graphs, which we
     avoid by returning ``n - 1`` as the natural ceiling).
+
+    With ``cutoff`` the computation stops once ``cutoff`` paths are found, so
+    the result is ``min(kappa(source, target), cutoff)``, except that an
+    adjacent pair always counts its direct edge.  A negative cutoff is an
+    error.
     """
     if not graph.has_node(source):
         raise NodeNotFoundError(source)
@@ -71,13 +53,18 @@ def local_node_connectivity(
         raise NodeNotFoundError(target)
     if source == target:
         raise ValueError("local connectivity is undefined for identical endpoints")
+    if cutoff is not None and cutoff < 0:
+        raise ValueError("cutoff must be non-negative")
     if graph.has_edge(source, target):
+        if cutoff is not None and cutoff <= 1:
+            return 1
+        # The copy re-adds edges in ``edges()`` order, so its adjacency order
+        # (and with it the flow's traversal) can differ from the original's.
         reduced = graph.copy()
         reduced.remove_edge(source, target)
-        inner_cutoff = None if cutoff is None else max(cutoff - 1, 0)
+        inner_cutoff = None if cutoff is None else cutoff - 1
         return 1 + local_node_connectivity(reduced, source, target, cutoff=inner_cutoff)
-    network = _split_network(graph, source, target)
-    return network.max_flow((source, _OUT), (target, _IN), cutoff=cutoff)
+    return vertex_split(graph, unit_edges=False).flow(source, target, cutoff=cutoff)
 
 
 def node_connectivity(graph: Graph, cutoff: Optional[int] = None) -> int:

@@ -10,87 +10,42 @@ node-split network.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set
 
 from repro.exceptions import NodeNotFoundError
-from repro.graphs.flow import FlowNetwork
+from repro.graphs.flow import VertexSplit, vertex_split
 from repro.graphs.graph import Graph
 
 Node = Hashable
 
-_IN = "in"
-_OUT = "out"
 
+def _extract_flow_paths(split: VertexSplit, source: Node, target: Node) -> List[List[Node]]:
+    """Decompose the flow just computed on ``split`` into source-target paths.
 
-def _build_split_network(graph: Graph, source: Node, target: Node) -> FlowNetwork:
-    """Node-split unit network used for disjoint-path extraction.
-
-    Unlike the connectivity variant, *every* arc has capacity exactly 1 so the
-    resulting integral flow decomposes directly into internally disjoint
-    paths (edge arcs can carry at most one unit anyway because their head's
-    node arc has capacity 1; using capacity 1 everywhere merely simplifies the
-    decomposition).
+    Every arc of the unit-edge split network carries at most one unit, so the
+    arcs with flow decompose directly into internally disjoint paths.  Per
+    network node they are listed in arc insertion order (node/edge order of
+    the graph) and the walk consumes them with ``pop()``, so the same flow
+    always decomposes into the same paths.
     """
-    network = FlowNetwork()
-    big = graph.number_of_nodes() + 1
-    for node in graph.nodes():
-        capacity = big if node in (source, target) else 1
-        network.add_arc((node, _IN), (node, _OUT), capacity)
-    for u, v in graph.edges():
-        network.add_arc((u, _OUT), (v, _IN), 1)
-        network.add_arc((v, _OUT), (u, _IN), 1)
-    return network
-
-
-def _extract_flow_paths(
-    network: FlowNetwork,
-    graph: Graph,
-    source: Node,
-    target: Node,
-) -> List[List[Node]]:
-    """Decompose the (already computed) unit flow into source-target paths."""
-    # Flow on arc (a, b) equals the residual capacity of the reverse arc when
-    # the original arc had capacity 1; for the big-capacity arcs the flow is
-    # original minus residual.  We reconstruct "used" arcs of the split graph.
-    # Arc lists (not sets): the walk below consumes arcs with ``pop()``, and
-    # list order follows the deterministic node/edge iteration, so the same
-    # flow always decomposes into the same paths.
-    used: Dict[Tuple[Node, str], List[Tuple[Node, str]]] = {}
-    big = graph.number_of_nodes() + 1
-
-    def flow_on(a: Tuple[Node, str], b: Tuple[Node, str], original: int) -> int:
-        return original - network.capacity(a, b)
-
-    for node in graph.nodes():
-        original = big if node in (source, target) else 1
-        if flow_on((node, _IN), (node, _OUT), original) > 0:
-            used.setdefault((node, _IN), []).append((node, _OUT))
-    for u, v in graph.edges():
-        if flow_on((u, _OUT), (v, _IN), 1) > 0:
-            used.setdefault((u, _OUT), []).append((v, _IN))
-        if flow_on((v, _OUT), (u, _IN), 1) > 0:
-            used.setdefault((v, _OUT), []).append((u, _IN))
-
+    used: Dict[int, List[int]] = {}
+    for tail, head in split.network.flow_arcs():
+        used.setdefault(tail, []).append(head)
+    start = 2 * split.position[source] + 1
+    sink = 2 * split.position[target]
+    nodes = split.nodes
     paths: List[List[Node]] = []
-    while used.get((source, _OUT)):
+    while used.get(start):
         # Walk one unit of flow from the source to the target, consuming arcs.
-        split_path: List[Tuple[Node, str]] = [(source, _OUT)]
-        while split_path[-1] != (target, _IN):
-            current = split_path[-1]
-            candidates = used.get(current)
+        walk = [start]
+        while walk[-1] != sink:
+            candidates = used.get(walk[-1])
             if not candidates:
                 # Should not happen with a valid integral flow; guard anyway.
-                break
-            nxt = candidates.pop()
-            split_path.append(nxt)
-        else:
-            nodes_on_path: List[Node] = [source]
-            for split_node, tag in split_path[1:]:
-                if tag == _IN and split_node != nodes_on_path[-1]:
-                    nodes_on_path.append(split_node)
-            paths.append(nodes_on_path)
-            continue
-        break
+                return paths
+            walk.append(candidates.pop())
+        # Each in-node (even id) after the source is the next graph node.
+        paths.append([source] + [nodes[split_id // 2] for split_id in walk[1::2]])
     return paths
 
 
@@ -141,9 +96,11 @@ def vertex_disjoint_paths(
             return paths[:k]
 
     remaining = None if k is None else k - len(paths)
-    network = _build_split_network(working, source, target)
-    network.max_flow((source, _OUT), (target, _IN), cutoff=remaining)
-    flow_paths = _extract_flow_paths(network, working, source, target)
+    # The adjacent case flows on the copy: ``copy()`` re-adds edges in
+    # ``edges()`` order, so its adjacency order may differ from ``graph``'s.
+    split = vertex_split(working, unit_edges=True)
+    split.flow(source, target, cutoff=remaining)
+    flow_paths = _extract_flow_paths(split, source, target)
     if remaining is not None:
         flow_paths = flow_paths[:remaining]
     paths.extend(flow_paths)

@@ -20,11 +20,17 @@ sets), so every structural iteration — ``nodes()``, ``edges()``,
 graph was built, never on ``PYTHONHASHSEED``.  Every construction downstream
 (max-flow, disjoint paths, routings) inherits bit-for-bit reproducibility
 from this property.
+
+Derived structures
+------------------
+Structures derived from the graph alone (the node-split flow networks of
+:mod:`repro.graphs.flow`) are memoised privately on the graph and dropped by
+every mutator.  The memo is invisible to ``copy()``, pickling and ``==``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.exceptions import EdgeNotFoundError, NodeNotFoundError
 
@@ -81,6 +87,7 @@ class Graph:
         """Add ``node`` to the graph.  Adding an existing node is a no-op."""
         if node not in self._adj:
             self._adj[node] = {}
+            self.__dict__.pop("_derived", None)
 
     def add_nodes_from(self, nodes: Iterable[Node]) -> None:
         """Add every node in ``nodes``."""
@@ -100,6 +107,7 @@ class Graph:
         for neighbor in self._adj[node]:
             self._adj[neighbor].pop(node, None)
         del self._adj[node]
+        self.__dict__.pop("_derived", None)
 
     def remove_nodes_from(self, nodes: Iterable[Node]) -> None:
         """Remove every node in ``nodes`` (each must be present)."""
@@ -142,6 +150,7 @@ class Graph:
         self.add_node(v)
         self._adj[u][v] = None
         self._adj[v][u] = None
+        self.__dict__.pop("_derived", None)
 
     def add_edges_from(self, edges: Iterable[Edge]) -> None:
         """Add every edge in ``edges``."""
@@ -160,6 +169,7 @@ class Graph:
             raise EdgeNotFoundError(u, v)
         self._adj[u].pop(v, None)
         self._adj[v].pop(u, None)
+        self.__dict__.pop("_derived", None)
 
     def remove_edges_from(self, edges: Iterable[Edge]) -> None:
         """Remove every edge in ``edges`` (each must be present)."""
@@ -311,6 +321,23 @@ class Graph:
         """
         removed = set(nodes)
         return self.subgraph(node for node in self._adj if node not in removed)
+
+    # ------------------------------------------------------------------
+    # Derived-structure memo
+    # ------------------------------------------------------------------
+    def _memo(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """Return ``build()``, memoised under ``key`` until the graph mutates."""
+        derived = self.__dict__.setdefault("_derived", {})
+        value = derived.get(key)
+        if value is None:
+            value = derived[key] = build()
+        return value
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__
+        if "_derived" in state:
+            state = {name: value for name, value in state.items() if name != "_derived"}
+        return state
 
     # ------------------------------------------------------------------
     # Dunder / misc

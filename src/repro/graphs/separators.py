@@ -7,9 +7,9 @@ separators (globally and between specific pairs) and verifies candidate
 separating sets.
 
 Minimum separators come out of the same node-split max-flow computation used
-for connectivity: after a max-flow run between a non-adjacent pair, the arcs
-crossing the minimum cut that are node arcs (``x_in -> x_out``) identify the
-separator nodes.
+for connectivity (the same memoised network, in fact): after a max-flow run
+between a non-adjacent pair, the arcs crossing the minimum cut that are node
+arcs (``x_in -> x_out``) identify the separator nodes.
 """
 
 from __future__ import annotations
@@ -18,14 +18,11 @@ import itertools
 from typing import Hashable, List, Optional, Set
 
 from repro.exceptions import NodeNotFoundError
-from repro.graphs.flow import FlowNetwork
+from repro.graphs.flow import VertexSplit, vertex_split
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import connected_components, is_connected
 
 Node = Hashable
-
-_IN = "in"
-_OUT = "out"
 
 
 def is_separating_set(graph: Graph, candidate: Set[Node]) -> bool:
@@ -75,23 +72,19 @@ def minimum_pair_separator(graph: Graph, source: Node, target: Node) -> Set[Node
         raise ValueError("source and target must be distinct")
     if graph.has_edge(source, target):
         raise ValueError("adjacent nodes cannot be separated by removing vertices")
+    split = vertex_split(graph, unit_edges=False)
+    split.flow(source, target)
+    return _cut_separator(split, source)
 
-    network = FlowNetwork()
-    big = graph.number_of_nodes() + 1
-    for node in graph.nodes():
-        capacity = big if node in (source, target) else 1
-        network.add_arc((node, _IN), (node, _OUT), capacity)
-    for u, v in graph.edges():
-        network.add_arc((u, _OUT), (v, _IN), big)
-        network.add_arc((v, _OUT), (u, _IN), big)
-    network.max_flow((source, _OUT), (target, _IN))
-    reachable = network.min_cut_reachable((source, _OUT))
-    separator = {
+
+def _cut_separator(split: VertexSplit, source: Node) -> Set[Node]:
+    """Return the nodes whose node arc crosses the minimum cut of the last flow."""
+    reachable = split.network.min_cut_reachable(2 * split.position[source] + 1)
+    return {
         node
-        for node in graph.nodes()
-        if (node, _IN) in reachable and (node, _OUT) not in reachable
+        for index, node in enumerate(split.nodes)
+        if 2 * index in reachable and 2 * index + 1 not in reachable
     }
-    return separator
 
 
 def minimum_separator(graph: Graph) -> Set[Node]:
@@ -128,12 +121,17 @@ def minimum_separator(graph: Graph) -> Set[Node]:
         if not graph.has_edge(x, y):
             candidates_pairs.append((x, y))
 
+    # A pair whose flow reaches the incumbent's size cannot beat it, so its
+    # flow stops there; a flow that stops short ran exactly as a full one.
+    split = vertex_split(graph, unit_edges=False)
     for x, y in candidates_pairs:
-        separator = minimum_pair_separator(graph, x, y)
-        if best is None or len(separator) < len(best):
-            best = separator
-            if len(best) == 1:
-                break
+        cutoff = None if best is None else len(best)
+        flow = split.flow(x, y, cutoff=cutoff)
+        if cutoff is not None and flow >= cutoff:
+            continue
+        best = _cut_separator(split, x)
+        if len(best) == 1:
+            break
     if best is None:
         # Every non-adjacent pair search failed, which for a non-complete
         # connected graph cannot happen; guard for safety.

@@ -154,3 +154,43 @@ class TestVerifyTreeRouting:
         routes = {2: [0, 1, 2], 3: [0, 1, 3]}
         problems = verify_tree_routing(graph, 0, {2, 3}, routes, 2)
         assert any("disjoint" in p for p in problems)
+
+
+class TestPickAnchor:
+    @staticmethod
+    def _reference_anchor(graph, source, separating_set):
+        from repro.graphs.traversal import bfs_distances
+
+        remaining = graph.without_nodes(separating_set)
+        reachable = set(bfs_distances(remaining, source))
+        return next(node for node in remaining.nodes() if node not in reachable)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            generators.hypercube_graph(4),
+            generators.circulant_graph(20, [1, 2, 5]),
+            generators.petersen_graph(),
+            generators.grid_graph(4, 5),
+        ],
+        ids=lambda graph: graph.name or "graph",
+    )
+    def test_matches_search_on_the_graph_without_the_set(self, graph):
+        from repro.core.tree_routing import _pick_anchor
+        from repro.graphs import minimum_separator
+
+        separator = set(minimum_separator(graph))
+        for source in graph.nodes():
+            if source in separator:
+                continue
+            expected = self._reference_anchor(graph, source, separator)
+            assert _pick_anchor(graph, source, separator) == expected
+
+    def test_source_in_set_and_non_separating_set_rejected(self):
+        from repro.core.tree_routing import _pick_anchor
+
+        graph = generators.cycle_graph(6)
+        with pytest.raises(ConstructionError):
+            _pick_anchor(graph, 0, {0, 3})
+        with pytest.raises(ConstructionError):
+            _pick_anchor(graph, 0, {2})

@@ -46,6 +46,29 @@ class TestLocalNodeConnectivity:
         graph = generators.complete_graph(6)
         assert local_node_connectivity(graph, 0, 5, cutoff=2) >= 2
 
+    def test_cutoff_zero_and_negative(self):
+        graph = generators.hypercube_graph(4)
+        assert local_node_connectivity(graph, 0, 3, cutoff=0) == 0
+        with pytest.raises(ValueError):
+            local_node_connectivity(graph, 0, 3, cutoff=-1)
+        with pytest.raises(ValueError):
+            local_node_connectivity(graph, 0, 1, cutoff=-1)
+
+    def test_cutoff_caps_non_adjacent_pairs_exactly(self):
+        graph = generators.hypercube_graph(4)
+        assert not graph.has_edge(0, 3)
+        for cutoff in range(1, 5):
+            assert local_node_connectivity(graph, 0, 3, cutoff=cutoff) == cutoff
+        assert local_node_connectivity(graph, 0, 3, cutoff=9) == 4
+
+    def test_cutoff_on_adjacent_pairs_counts_the_edge(self):
+        graph = generators.hypercube_graph(4)
+        assert graph.has_edge(0, 1)
+        assert local_node_connectivity(graph, 0, 1, cutoff=0) == 1
+        assert local_node_connectivity(graph, 0, 1, cutoff=1) == 1
+        assert local_node_connectivity(graph, 0, 1, cutoff=2) == 2
+        assert local_node_connectivity(graph, 0, 1, cutoff=9) == 4
+
     def test_disconnected_pair(self):
         graph = Graph(edges=[(0, 1)], nodes=[2])
         assert local_node_connectivity(graph, 0, 2) == 0

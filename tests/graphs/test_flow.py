@@ -134,3 +134,64 @@ class TestUnitMaxFlow:
 
     def test_unit_max_flow_no_path(self):
         assert unit_max_flow([(0, 1)], 0, 5) == 0
+
+
+class TestCutoffContract:
+    def test_zero_cutoff_returns_zero_without_work(self):
+        arcs = [(0, 1), (1, 3), (0, 2), (2, 3)]
+        assert unit_max_flow(arcs, 0, 3, cutoff=0) == 0
+        network = FlowNetwork()
+        for u, v in arcs:
+            network.add_arc(u, v, 1)
+        assert network.max_flow(0, 3, cutoff=0) == 0
+        assert network.flow_arcs() == []
+        assert network.capacity(0, 1) == 1
+
+    def test_negative_cutoff_rejected(self):
+        with pytest.raises(ValueError):
+            unit_max_flow([(0, 1)], 0, 1, cutoff=-1)
+
+    def test_cutoff_caps_exactly(self):
+        arcs = [(0, 1), (1, 3), (0, 2), (2, 3)]
+        assert unit_max_flow(arcs, 0, 3, cutoff=1) == 1
+        assert unit_max_flow(arcs, 0, 3, cutoff=5) == 2
+
+
+class TestReuse:
+    def _diamond(self):
+        network = FlowNetwork()
+        for u, v in [("s", "a"), ("s", "b"), ("a", "b"), ("a", "t"), ("b", "t")]:
+            network.add_arc(u, v, 1)
+        return network
+
+    def test_reset_restores_build_capacities(self):
+        network = self._diamond()
+        assert network.max_flow("s", "t") == 2
+        assert network.capacity("s", "a") == 0
+        network.reset()
+        assert network.capacity("s", "a") == 1
+        assert network.capacity("a", "s") == 0
+        assert network.max_flow("s", "t") == 2
+
+    def test_reused_network_answers_like_fresh_ones(self):
+        network = self._diamond()
+        for source, sink in [("s", "t"), ("a", "t"), ("s", "b"), ("b", "t")]:
+            network.reset()
+            fresh = self._diamond()
+            assert network.max_flow(source, sink) == fresh.max_flow(source, sink)
+            assert network.min_cut_reachable(source) == fresh.min_cut_reachable(source)
+            assert network.flow_arcs() == fresh.flow_arcs()
+
+    def test_flow_arcs_follow_insertion_order(self):
+        network = self._diamond()
+        network.max_flow("s", "t")
+        assert network.flow_arcs() == [("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")]
+
+    def test_explicit_reverse_arc_accumulates_onto_the_pair(self):
+        network = FlowNetwork()
+        network.add_arc(0, 1, 2)
+        network.add_arc(1, 0, 3)
+        assert network.capacity(0, 1) == 2
+        assert network.capacity(1, 0) == 3
+        assert network.max_flow(1, 0) == 3
+        assert network.flow_arcs() == [(1, 0)]

@@ -107,6 +107,28 @@ class TestRandomGraphsAgainstNetworkx:
         assert len(separator) == networkx.node_connectivity(to_networkx(graph))
 
 
+class TestRepeatedQueriesAgainstNetworkx:
+    @pytest.mark.parametrize("index,graph", list(enumerate(random_graphs(count=4, seed=4242))))
+    def test_two_queries_on_one_graph_object(self, index, graph):
+        # Both queries reuse the split network memoised on ``graph``.
+        if not is_connected(graph):
+            return
+        nx_graph = to_networkx(graph)
+        kappa = networkx.node_connectivity(nx_graph)
+        assert node_connectivity(graph) == kappa
+        n = graph.number_of_nodes()
+        if any(graph.degree(node) != n - 1 for node in graph.nodes()):
+            assert len(minimum_separator(graph)) == kappa
+        nodes = graph.nodes()
+        rng = random.Random(index)
+        for _ in range(3):
+            u, v = rng.sample(nodes, 2)
+            expected = networkx.connectivity.local_node_connectivity(nx_graph, u, v)
+            assert local_node_connectivity(graph, u, v) == expected
+            assert len(vertex_disjoint_paths(graph, u, v)) == expected
+        assert node_connectivity(graph) == kappa
+
+
 class TestGirthAgainstNetworkx:
     @pytest.mark.parametrize("graph", NAMED, ids=lambda g: g.name)
     def test_girth_matches(self, graph):
