@@ -1,9 +1,9 @@
-"""Setuptools entry point.
+"""Setuptools shim for in-place installs; the metadata is in ``pyproject.toml``.
 
-Kept alongside ``pyproject.toml`` so that ``pip install -e .`` works in
-offline environments whose setuptools/wheel combination cannot perform PEP 660
-editable installs (pip then falls back to the legacy ``setup.py develop``
-path, which needs this file).
+Setuptools older than 70.1 needs the separate ``wheel`` package for
+``pip install -e .`` (a PEP 660 editable wheel).  Where ``wheel`` is
+missing and cannot be fetched, ``python setup.py develop`` installs the
+package in place from this file instead, console script included.
 """
 
 from setuptools import setup

@@ -23,6 +23,23 @@ on machine words inside CPython's long-integer kernels:
   single ``next & ~visited`` — no hashing, no per-neighbour Python loop;
 * "every node reached" is an integer equality against the alive mask.
 
+Diameter kernel
+---------------
+One kernel, :func:`_rows_diameter_witness`, evaluates every fault set on
+the bitset backend: ``surviving_diameter``, cursors (the greedy adversary,
+the serving ``diameter``/``fail`` ops) and ``check_tolerance`` all run
+through it.  It first runs one frontier BFS from the lowest alive node,
+which finds the usual outcome of a heavy fault set — a cut, or an
+eccentricity above the cap — in ``O(n)`` word operations and returns the
+same witnesses a per-source search would.  Then all sources advance
+together (the multi-source BFS idea of Then et al., "The More the Merrier",
+VLDB 2014): ``reach[u]`` holds the nodes within distance ``level`` of ``u``,
+a level advance ORs the previous level's reach of ``u``'s successors into
+it, and nodes whose reach is complete drop out of the work list.  The
+successor lists of the fault-free rows are extracted once per index; a
+fault set reuses them as-is for the rows it leaves intact and filters them
+for the rest.
+
 Alongside the rows the index keeps an inverted index ``node id -> {(s, t)
 pairs whose route(s) pass through it}`` so a fault set only re-checks the
 pairs it can actually affect, and — for multiroutings — one bitmask per
@@ -33,9 +50,8 @@ Decision API
 ------------
 :meth:`RouteIndex.surviving_diameter_at_most` answers the question callers
 like ``check_tolerance`` actually ask — "is the surviving diameter at most
-``bound``?" — without always paying for the exact value: each source's BFS is
-abandoned as soon as its eccentricity exceeds the bound, and the first
-violating source short-circuits the whole evaluation.
+``bound``?" — without always paying for the exact value: the kernel stops
+at the first BFS level that proves some eccentricity exceeds the bound.
 :meth:`RouteIndex.surviving_diameter` accepts the same optimisation through
 its ``cap`` parameter (it returns ``inf`` as soon as the cap is exceeded) and
 a ``kernel`` parameter selecting between the bitset and numpy kernels.
@@ -80,22 +96,6 @@ AnyRouting = Union[Routing, MultiRouting]
 
 _NO_PAIRS: FrozenSet[IdPair] = frozenset()
 
-#: Default density factor ``k`` in the strategy switch ``k * arcs <= n^2``:
-#: batched all-sources propagation below the threshold, per-source frontier
-#: BFS above it.  Override per index via the ``density_threshold`` constructor
-#: argument or globally via the ``REPRO_BFS_DENSITY_THRESHOLD`` environment
-#: variable (the constructor argument wins).  The value ``"auto"`` (either
-#: place) calibrates the factor from observed per-strategy timings at build
-#: time — see :meth:`RouteIndex.calibrate_density_threshold`.
-DEFAULT_DENSITY_THRESHOLD = 8
-
-#: Sentinel selecting timing-based calibration of the density factor.
-DENSITY_THRESHOLD_AUTO = "auto"
-
-#: Strategy labels reported by :meth:`RouteIndex.preferred_strategy`.
-STRATEGY_BATCHED = "batched"
-STRATEGY_PER_SOURCE = "per-source"
-
 #: Evaluation backends: ``"bitset"`` is the pure-Python big-int kernel,
 #: ``"numpy"`` the packed-uint64 batched kernel (requires numpy; silently
 #: falls back to bitset where it is absent), ``"auto"`` picks numpy when it
@@ -107,45 +107,6 @@ EVAL_BACKEND_BITSET = "bitset"
 EVAL_BACKEND_NUMPY = "numpy"
 EVAL_BACKEND_AUTO = "auto"
 _EVAL_BACKENDS = (EVAL_BACKEND_BITSET, EVAL_BACKEND_NUMPY, EVAL_BACKEND_AUTO)
-
-
-def _resolve_density_threshold(
-    value: Optional[Union[int, str]],
-) -> Union[int, str]:
-    """Resolve the density factor: explicit arg > env override > default.
-
-    Returns either a validated integer factor or the ``"auto"`` sentinel
-    (timing-based calibration, applied by the constructor after the bitset
-    structures exist).  Resolution happens **once**, at index construction:
-    the resolved value travels with the index (including its pickled and
-    :meth:`RouteIndex.slim` forms), so worker processes evaluate with the
-    parent's factor no matter what their own environment says.
-    """
-    if value is not None:
-        if isinstance(value, str):
-            if value != DENSITY_THRESHOLD_AUTO:
-                raise ValueError(
-                    f"density_threshold must be an integer or 'auto', got {value!r}"
-                )
-            return value
-        if value < 1:
-            raise ValueError("density_threshold must be at least 1")
-        return value
-    env = os.environ.get("REPRO_BFS_DENSITY_THRESHOLD")
-    if env:
-        if env.strip().lower() == DENSITY_THRESHOLD_AUTO:
-            return DENSITY_THRESHOLD_AUTO
-        try:
-            parsed = int(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_BFS_DENSITY_THRESHOLD must be an integer or 'auto', "
-                f"got {env!r}"
-            ) from None
-        if parsed < 1:
-            raise ValueError("REPRO_BFS_DENSITY_THRESHOLD must be at least 1")
-        return parsed
-    return DEFAULT_DENSITY_THRESHOLD
 
 
 def _resolve_eval_backend(value: Optional[str]) -> str:
@@ -204,21 +165,12 @@ class RouteIndex:
         self,
         graph: Graph,
         routing: AnyRouting,
-        density_threshold: Optional[Union[int, str]] = None,
         backend: Optional[str] = None,
     ) -> None:
         self.graph = graph
         self.routing = routing
-        # Factor k of the "k * arcs <= n^2" batched-vs-per-source BFS switch.
-        # Resolved exactly once, here in the constructing process; "auto"
-        # defers to a timing calibration after the bitset structures exist.
-        resolved_threshold = _resolve_density_threshold(density_threshold)
-        self._density_threshold = (
-            DEFAULT_DENSITY_THRESHOLD
-            if resolved_threshold == DENSITY_THRESHOLD_AUTO
-            else resolved_threshold
-        )
-        # Evaluation backend ("bitset" or "numpy"), resolved once likewise.
+        # Evaluation backend ("bitset" or "numpy"), resolved exactly once,
+        # here in the constructing process.
         self._backend = _resolve_eval_backend(backend)
         # Lazily built numpy kernel; never pickled (workers rebuild it from
         # the shipped bitset rows on first use).
@@ -278,9 +230,9 @@ class RouteIndex:
                 for node in path:
                     kill = kill_rows[id_of[node]]
                     kill[sid] = kill.get(sid, 0) | target_bit
-
-        if resolved_threshold == DENSITY_THRESHOLD_AUTO:
-            self.calibrate_density_threshold()
+        # Successor ids of every base row, which the diameter kernel shares
+        # (or filters) instead of re-extracting bits per fault set.
+        self._base_succ: List[List[int]] = [_mask_ids(row) for row in self._base_rows]
 
     # ------------------------------------------------------------------
     # Pickling (worker shipping)
@@ -324,11 +276,6 @@ class RouteIndex:
         return graph is self.graph and routing is self.routing
 
     @property
-    def density_threshold(self) -> int:
-        """The factor ``k`` of the ``k * arcs <= n^2`` BFS strategy switch."""
-        return self._density_threshold
-
-    @property
     def backend(self) -> str:
         """The backend resolved at construction (``"bitset"`` or ``"numpy"``)."""
         return self._backend
@@ -360,50 +307,6 @@ class RouteIndex:
             kernel = self._np_kernel = NumpyKernel(self)
         return kernel
 
-    def calibrate_density_threshold(
-        self, faults: Iterable[Node] = (), repeats: int = 3
-    ) -> int:
-        """Set the density factor from observed per-strategy timings.
-
-        Runs both BFS strategies ``repeats`` times on the surviving rows of
-        ``faults`` (best-of timing, to shrug off scheduler noise) and sets
-        the factor to the break-even point ``k* = (total^2 / arcs) * (T_b /
-        T_p)``: with it, the ``k * arcs <= total^2`` switch picks the
-        batched strategy exactly when it was observed to be the faster one
-        on this workload.  The result is clamped to ``[1, 1024]`` and
-        returned.  Calibration is a performance knob only — every strategy
-        returns identical values — but it is timing-based and therefore
-        machine-dependent, so it runs only when explicitly requested
-        (``density_threshold="auto"`` or this method).
-        """
-        import time as _time
-
-        fault_mask = self._fault_mask(self._check_faults(faults))
-        rows = self._surviving_rows(fault_mask)
-        alive = self._full_mask & ~fault_mask
-        total = alive.bit_count()
-        arcs = 0
-        for row in rows:
-            arcs += row.bit_count()
-        if total < 2 or arcs == 0:
-            return self._density_threshold
-        best_batched = best_per_source = float("inf")
-        for _ in range(max(1, repeats)):
-            start = _time.perf_counter()
-            _batched_diameter(rows, alive, total, None)
-            best_batched = min(best_batched, _time.perf_counter() - start)
-            start = _time.perf_counter()
-            _per_source_diameter(rows, alive, None)
-            best_per_source = min(
-                best_per_source, _time.perf_counter() - start
-            )
-        if best_per_source <= 0 or best_batched <= 0:
-            return self._density_threshold
-        ratio = (total * total) / arcs
-        factor = round(ratio * (best_batched / best_per_source))
-        self._density_threshold = max(1, min(1024, factor))
-        return self._density_threshold
-
     @property
     def node_pool(self) -> Tuple[Node, ...]:
         """The graph's nodes in canonical (repr-sorted) order.
@@ -417,26 +320,6 @@ class RouteIndex:
             pool = self._node_pool = tuple(sorted(self._nodes, key=repr))
         return pool
 
-    def preferred_strategy(self, faults: Iterable[Node] = ()) -> str:
-        """Return which BFS strategy a diameter evaluation of ``faults`` picks.
-
-        ``"batched"`` (all-sources propagation) when ``density_threshold *
-        arcs <= n^2`` on the surviving rows, ``"per-source"`` (frontier BFS
-        with early completion exit) otherwise.  Campaign rows record this so
-        sweeps over workload families can correlate throughput with the
-        strategy actually exercised.
-        """
-        fault_mask = self._fault_mask(self._check_faults(faults))
-        rows = self._surviving_rows(fault_mask)
-        alive = self._full_mask & ~fault_mask
-        total = alive.bit_count()
-        arcs = 0
-        for row in rows:
-            arcs += row.bit_count()
-        if arcs * self._density_threshold <= total * total:
-            return STRATEGY_BATCHED
-        return STRATEGY_PER_SOURCE
-
     # ------------------------------------------------------------------
     # Artifact export (serving layer)
     # ------------------------------------------------------------------
@@ -446,7 +329,7 @@ class RouteIndex:
         The export hook behind :mod:`repro.serving.artifact`: everything the
         evaluation surface needs — node labels in id order, the base
         adjacency/predecessor rows, the per-node kill masks (or the
-        multirouting pair tables) and the resolved tunables — as ints,
+        multirouting pair tables) and the resolved backend — as ints,
         tuples, lists and dicts only, so a compiler can lay the state out in
         any on-disk format without touching the graph or routing objects.
         :meth:`from_state` reconstructs an evaluation-equivalent index from
@@ -457,7 +340,6 @@ class RouteIndex:
             "multi": self._multi,
             "base_rows": list(self._base_rows),
             "base_preds": list(self._base_preds),
-            "density_threshold": self._density_threshold,
             "backend": self._backend,
         }
         if self._multi:
@@ -486,7 +368,6 @@ class RouteIndex:
         index = object.__new__(cls)
         index.graph = None
         index.routing = None
-        index._density_threshold = int(state["density_threshold"])
         index._backend = (
             _resolve_eval_backend(backend)
             if backend is not None
@@ -502,6 +383,7 @@ class RouteIndex:
         index._full_mask = (1 << n) - 1
         index._base_rows = [int(row) for row in state["base_rows"]]
         index._base_preds = [int(row) for row in state["base_preds"]]
+        index._base_succ = [_mask_ids(row) for row in index._base_rows]
         index._multi = bool(state["multi"])
         if index._multi:
             index._kill_rows = []
@@ -677,9 +559,13 @@ class RouteIndex:
             raise ValueError(f"unknown kernel {kernel!r}")
         fault_mask = self._fault_mask(fault_set)
         rows = self._surviving_rows(fault_mask)
-        return _rows_diameter(
-            rows, self._full_mask & ~fault_mask, cap, self._density_threshold
-        )
+        return _rows_diameter_witness(
+            rows,
+            self._full_mask & ~fault_mask,
+            self._base_rows,
+            self._base_succ,
+            cap,
+        )[0]
 
     #: Battery entries evaluated per numpy-kernel call: bounds the scratch
     #: tensors to a fixed width so arbitrarily large batteries stream through
@@ -733,9 +619,9 @@ class RouteIndex:
     ) -> bool:
         """Decide ``surviving_diameter(faults) <= bound`` with early exit.
 
-        Equivalent to computing the diameter and comparing, but each source's
-        BFS is abandoned as soon as its eccentricity exceeds ``bound`` and the
-        first violating source short-circuits the whole evaluation.
+        Equivalent to computing the diameter and comparing, but the kernel
+        stops at the first BFS level that proves some eccentricity exceeds
+        ``bound``.
         """
         if bound != bound:  # NaN: no diameter satisfies the comparison
             return False
@@ -974,7 +860,11 @@ class EvalCursor:
                 )
                 return value, witness, capped
         return _rows_diameter_witness(
-            self._materialise_rows(), self._alive, cap, index._density_threshold
+            self._materialise_rows(),
+            self._alive,
+            index._base_rows,
+            index._base_succ,
+            cap,
         )
 
     def with_added(self, node: Node) -> "EvalCursor":
@@ -1179,29 +1069,24 @@ class EvalCursor:
                     child._unreached = witness
 
 
-def _rows_diameter(
-    rows: List[int],
-    alive: int,
-    cap: Optional[float] = None,
-    threshold: int = DEFAULT_DENSITY_THRESHOLD,
-) -> float:
-    """Diameter of the bitset digraph (``inf`` when > ``cap``, see below)."""
-    value, _witness, _capped = _rows_diameter_witness(rows, alive, cap, threshold)
-    return value
-
-
 def _rows_diameter_witness(
     rows: List[int],
     alive: int,
+    base_rows: List[int],
+    base_succ: List[List[int]],
     cap: Optional[float] = None,
-    threshold: int = DEFAULT_DENSITY_THRESHOLD,
 ) -> Tuple[float, Optional[Tuple[int, int]], Optional[Tuple[int, int, int]]]:
     """Diameter of the digraph given by bitset rows.
+
+    ``rows`` must be a subgraph of ``base_rows`` (every row a subset of its
+    base row, as fault masking guarantees), and ``base_succ[u]`` lists the
+    set bits of ``base_rows[u]`` in ascending order.
 
     Matches the conventions of :func:`repro.graphs.traversal.diameter`:
     ``inf`` for the empty or non-strongly-connected graph, ``0`` for a single
     node.  With ``cap`` given, returns ``inf`` as soon as the diameter is
-    proven to exceed the cap (a finite return value is always exact).
+    proven to exceed the cap, so a finite return value is always the exact
+    diameter and is at most ``cap``.
 
     The second component witnesses a disconnection when one was found: a
     source's bit and the mask of nodes it cannot reach.  The third component
@@ -1211,115 +1096,88 @@ def _rows_diameter_witness(
     the two witnesses is non-``None``; both are ``None`` when the graph is
     connected within the cap.
 
-    Two strategies cover the two shapes surviving route graphs come in.
-    Sparse graphs use *batched propagation*: every node's reachable set is a
-    bitmask and one level advance is a single ``|=`` per surviving arc — all
-    sources progress together, so the cost is ``O(arcs)`` per diameter unit.
-    Dense graphs (where a BFS completes in a level or two and most sources
-    terminate almost immediately) use per-source frontier BFS, which
-    exploits that early exit.  Both return identical values.
+    One kernel in two phases.  A frontier BFS from the lowest alive node
+    comes first: heavy fault sets usually cut the graph, and this finds the
+    cut (or a first eccentricity above the cap) in ``O(n)`` word operations.
+    Then every node's reach advances together: ``reach[u]`` is the set of
+    nodes within distance ``level`` of ``u``, and one level advance ORs the
+    previous level's reach of each successor into it.  A node whose reach is
+    complete drops out and costs nothing on later levels, and a node whose
+    reach stops growing before it is complete proves a disconnection.
+    Successor lists come from ``base_succ``: shared as-is for rows no fault
+    touched, filtered for the rest.
     """
     if not alive:
         return INFINITY, None, None
-    total = alive.bit_count()
-    if total == 1:
+    if not alive & (alive - 1):
         return 0, None, None
-    arcs = 0
-    for row in rows:
-        arcs += row.bit_count()
-    if arcs * threshold <= total * total:
-        return _batched_diameter(rows, alive, total, cap)
-    return _per_source_diameter(rows, alive, cap)
+    source_bit = alive & -alive
+    visited = frontier = source_bit
+    eccentricity = 0
+    while visited != alive:
+        reach = 0
+        while frontier:
+            fbit = frontier & -frontier
+            reach |= rows[fbit.bit_length() - 1]
+            frontier ^= fbit
+        frontier = reach & ~visited
+        if not frontier:
+            return INFINITY, (source_bit, alive & ~visited), None
+        eccentricity += 1
+        if cap is not None and eccentricity > cap:
+            # visited covers distance <= eccentricity - 1: the unvisited
+            # nodes sit at distance >= eccentricity, a capped witness.
+            return INFINITY, None, (source_bit, alive & ~visited, eccentricity)
+        visited |= frontier
 
-
-def _batched_diameter(
-    rows: List[int], alive: int, total: int, cap: Optional[float]
-) -> Tuple[float, Optional[Tuple[int, int]], Optional[Tuple[int, int, int]]]:
-    """All-sources reachability propagation (one ``|=`` per arc per level)."""
-    ids: List[int] = []
+    # reach[u] = nodes within distance <= level of u; level starts at 1.
+    reach = list(rows)
+    pending: List[int] = []
     remaining = alive
     while remaining:
         bit = remaining & -remaining
-        ids.append(bit.bit_length() - 1)
         remaining ^= bit
-    succ: List[List[int]] = [[] for _ in rows]
-    for node in ids:
-        row = rows[node]
-        targets = succ[node]
-        while row:
-            bit = row & -row
-            targets.append(bit.bit_length() - 1)
-            row ^= bit
-    # reach[u] = nodes within distance <= k of u; k starts at 1.
-    reach: List[int] = [0] * len(rows)
-    for node in ids:
-        reach[node] = (1 << node) | rows[node]
+        node = bit.bit_length() - 1
+        row = reach[node] = rows[node] | bit
+        if row != alive:
+            pending.append(node)
+    # Successor lists, made on a node's first advance (if it gets one).
+    succ: List[Optional[List[int]]] = [None] * len(rows)
     level = 1
-    while True:
-        complete = alive
-        for node in ids:
-            complete &= reach[node]
-        if complete == alive:
-            return level, None, None
-        if cap is not None and level >= cap:
-            # reach covers distance <= level, so any unreached node is at
-            # distance >= level + 1 from its source: a capped witness.
-            for node in ids:
-                if reach[node] != alive:
-                    return (
-                        INFINITY,
-                        None,
-                        (1 << node, alive & ~reach[node], level + 1),
-                    )
-            return INFINITY, None, None  # pragma: no cover - incomplete above
-        advanced: List[int] = [0] * len(rows)
-        changed = False
-        for node in ids:
-            acc = reach[node]
-            for target in succ[node]:
+    while pending:
+        if cap is not None and level + 1 > cap:
+            # Some node is still incomplete, so the diameter is at least
+            # level + 1: its unreached nodes are a capped witness.
+            node = pending[0]
+            return INFINITY, None, (1 << node, alive & ~reach[node], level + 1)
+        # On the last advance the cap allows, the first node left
+        # incomplete already proves the diameter exceeds the cap.
+        last = cap is not None and level + 2 > cap
+        advanced = reach[:]
+        still: List[int] = []
+        for node in pending:
+            old = acc = reach[node]
+            targets = succ[node]
+            if targets is None:
+                row = rows[node]
+                if row == base_rows[node]:
+                    targets = base_succ[node]
+                else:
+                    targets = [t for t in base_succ[node] if row >> t & 1]
+                succ[node] = targets
+            for target in targets:
                 acc |= reach[target]
+                if acc == alive:
+                    break
+            if acc == old:
+                # The ball around node stopped growing short of alive.
+                return INFINITY, (1 << node, alive & ~acc), None
+            if acc != alive:
+                if last:
+                    return INFINITY, None, (1 << node, alive & ~acc, level + 2)
+                still.append(node)
             advanced[node] = acc
-            if acc != reach[node]:
-                changed = True
-        if not changed:
-            for node in ids:
-                if reach[node] != alive:
-                    return INFINITY, (1 << node, alive & ~reach[node]), None
         reach = advanced
+        pending = still
         level += 1
-
-
-def _per_source_diameter(
-    rows: List[int], alive: int, cap: Optional[float]
-) -> Tuple[float, Optional[Tuple[int, int]], Optional[Tuple[int, int, int]]]:
-    """Per-source frontier BFS with early completion exit (dense graphs)."""
-    worst = 0
-    sources = alive
-    while sources:
-        source_bit = sources & -sources
-        sources ^= source_bit
-        visited = source_bit
-        frontier = source_bit
-        eccentricity = 0
-        while visited != alive:
-            reach = 0
-            while frontier:
-                fbit = frontier & -frontier
-                reach |= rows[fbit.bit_length() - 1]
-                frontier ^= fbit
-            frontier = reach & ~visited
-            if not frontier:
-                return INFINITY, (source_bit, alive & ~visited), None
-            eccentricity += 1
-            if cap is not None and eccentricity > cap:
-                # visited covers distance <= eccentricity - 1: the unvisited
-                # nodes sit at distance >= eccentricity, a capped witness.
-                return (
-                    INFINITY,
-                    None,
-                    (source_bit, alive & ~visited, eccentricity),
-                )
-            visited |= frontier
-        if eccentricity > worst:
-            worst = eccentricity
-    return worst, None, None
+    return level, None, None

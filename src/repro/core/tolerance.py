@@ -131,8 +131,8 @@ def check_tolerance(
 
     Evaluation goes through the engine's bounded-diameter decision path:
     every fault set is checked with an eccentricity cap of
-    ``diameter_bound`` (each source's BFS is abandoned the moment it exceeds
-    the cap) and the scan stops at the first violating fault set, whose
+    ``diameter_bound`` (an evaluation stops at the first BFS level that
+    exceeds the cap) and the scan stops at the first violating fault set, whose
     exact diameter is reported.  Exhaustive enumerations stream through the
     engine's generative shards (deterministic ``itertools.combinations``
     offsets), so they shard across the worker pool like random batteries do.

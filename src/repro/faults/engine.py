@@ -52,6 +52,7 @@ from repro.core.route_index import RouteIndex
 from repro.core.routing import MultiRouting, Routing
 from repro.faults.models import FaultSet
 from repro.faults.simulation import (
+    BFS_STRATEGY,
     CampaignResult,
     DecisionCampaignResult,
     aggregate_decisions,
@@ -95,17 +96,15 @@ def check_fault_size(label: str, fault_size: int, nodes: int) -> None:
         )
 
 
-def workload_key(
-    spec: Optional[str], density_threshold: Optional[int], backend: Optional[str]
-) -> str:
-    """Key of one (scenario, resolved index tunables) workload.
+def workload_key(spec: Optional[str], backend: Optional[str]) -> str:
+    """Key of one (scenario, resolved eval backend) workload.
 
-    The tunables are part of the key so a parent-broadcast slim index (built
-    with the parent's resolved values) is never conflated with a worker-side
-    rebuild under different values.  Engine tasks carry no scenario, so
-    their single workload is ``workload_key(None, None, None)``.
+    The backend is part of the key so a parent-broadcast slim index (built
+    with the parent's resolved backend) is never conflated with a
+    worker-side rebuild under a different one.  Engine tasks carry no
+    scenario, so their single workload is ``workload_key(None, None)``.
     """
-    return f"{spec}\x00{density_threshold}\x00{backend}"
+    return f"{spec}\x00{backend}"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -131,12 +130,12 @@ class ShardTask:
     exact diameters).  Capped outcomes are the exact diameter when it is at
     most the cap and ``inf`` otherwise.
 
-    ``spec``, ``density_threshold`` and ``backend`` name the workload.  Suite
-    tasks carry their canonical scenario string and the **parent-resolved**
-    index tunables, so a worker that has to rebuild the scenario constructs
-    exactly the parent's index instead of consulting its own environment.
-    Engine tasks leave all three ``None``.  ``campaign_key`` is the suite
-    row (scenario position, campaign position) the outcomes fold into.
+    ``spec`` and ``backend`` name the workload.  Suite tasks carry their
+    canonical scenario string and the **parent-resolved** eval backend, so a
+    worker that has to rebuild the scenario constructs exactly the parent's
+    index instead of consulting its own environment.  Engine tasks leave
+    both ``None``.  ``campaign_key`` is the suite row (scenario position,
+    campaign position) the outcomes fold into.
     """
 
     mode: str
@@ -150,13 +149,12 @@ class ShardTask:
     candidate_limit: int = 0
     spec: Optional[str] = None
     campaign_key: Optional[Tuple[int, int]] = None
-    density_threshold: Optional[int] = None
     backend: Optional[str] = None
 
     @property
     def key(self) -> str:
         """The workload this task evaluates against (see :func:`workload_key`)."""
-        return workload_key(self.spec, self.density_threshold, self.backend)
+        return workload_key(self.spec, self.backend)
 
     @property
     def label(self) -> str:
@@ -286,12 +284,7 @@ def _workload(task: ShardTask, workloads: Dict[str, Workload]) -> Workload:
 
         graph, result = parse_scenario(task.spec).build()
         cached = (
-            RouteIndex(
-                graph,
-                result.routing,
-                density_threshold=task.density_threshold,
-                backend=task.backend,
-            ),
+            RouteIndex(graph, result.routing, backend=task.backend),
             result.fingerprint(),
         )
         if len(workloads) >= _WORKLOAD_LIMIT:
@@ -446,10 +439,10 @@ class CampaignEngine:
     index:
         Optional pre-built :class:`RouteIndex` to reuse; must match
         ``(graph, routing)``.  Built lazily on first use otherwise.
-    density_threshold, backend:
+    backend:
         Forwarded to the lazily built :class:`RouteIndex` (ignored when a
-        pre-built ``index`` is supplied — that index's resolved tunables
-        win).  Both are resolved **once**, in the parent process, and travel
+        pre-built ``index`` is supplied — that index's resolved backend
+        wins).  It is resolved **once**, in the parent process, and travels
         with the slim index to every worker: workers never consult their own
         environment, so a pool whose processes see divergent environment
         variables still evaluates every shard identically.
@@ -470,7 +463,6 @@ class CampaignEngine:
         workers: int = 1,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         index: Optional[RouteIndex] = None,
-        density_threshold: Optional[Union[int, str]] = None,
         backend: Optional[str] = None,
         policy: Optional[SupervisorPolicy] = None,
     ) -> None:
@@ -487,7 +479,6 @@ class CampaignEngine:
         self.workers = workers
         self.chunk_size = chunk_size
         self._index = index
-        self._density_threshold = density_threshold
         self._backend = backend
         # Aggregates cannot tolerate holes: dispatch is always fail-fast at
         # the shard level, whatever the caller's quarantine preference.
@@ -503,12 +494,7 @@ class CampaignEngine:
     def index(self) -> RouteIndex:
         """The engine's route index (built on first access)."""
         if self._index is None:
-            self._index = RouteIndex(
-                self.graph,
-                self.routing,
-                density_threshold=self._density_threshold,
-                backend=self._backend,
-            )
+            self._index = RouteIndex(self.graph, self.routing, backend=self._backend)
         return self._index
 
     # ------------------------------------------------------------------
@@ -590,7 +576,7 @@ class CampaignEngine:
         """
         if self._executor is None:
             self._executor = ShardExecutor(
-                {workload_key(None, None, None): (self.index, None)},
+                {workload_key(None, None): (self.index, None)},
                 workers=self.workers,
                 policy=self._policy,
             )
@@ -637,11 +623,11 @@ class CampaignEngine:
         """Early-exit scan: is every fault set's surviving diameter <= ``bound``?
 
         Returns ``(worst_diameter, worst_fault_set, evaluated, holds)``.
-        The shards carry an eccentricity cap of ``bound`` (each source's BFS
-        is abandoned the moment it exceeds the cap), and the scan stops at
-        the *first* violating fault set in battery order: on a violation
-        ``worst_diameter`` is the exact diameter of that witness and
-        ``evaluated`` counts the sets inspected up to and including it.
+        The shards carry an eccentricity cap of ``bound`` (an evaluation
+        stops at the first BFS level that exceeds the cap), and the scan
+        stops at the *first* violating fault set in battery order: on a
+        violation ``worst_diameter`` is the exact diameter of that witness
+        and ``evaluated`` counts the sets inspected up to and including it.
         When the bound holds, every set was evaluated and ``worst_diameter``
         is the exact battery-wide maximum.
 
@@ -807,13 +793,12 @@ class CampaignEngine:
             shards = itertools.chain(
                 shards, self._explicit_shards([greedy_set], cap=bound)
             )
-        strategy = self.index.preferred_strategy()
         outcomes = self._evaluate_shards(shards)
         if bound is not None:
             result: CampaignRow = aggregate_decisions(fault_size, bound, outcomes)
         else:
             result = aggregate_outcomes(fault_size, outcomes)
-        result.bfs_strategy = strategy
+        result.bfs_strategy = BFS_STRATEGY
         result.eval_backend = self.index.eval_backend
         result.candidate_limit = candidate_limit if run_greedy else None
         if frame is not None:

@@ -22,6 +22,11 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.faults.models import FaultSet
 
+#: Label of the BFS kernel behind every diameter evaluation, stored in the
+#: ``bfs`` column of campaign rows.  Stores written when the kernel still
+#: switched strategies may also hold ``"per-source"``; both load alike.
+BFS_STRATEGY = "batched"
+
 
 @dataclasses.dataclass
 class CampaignResult:
@@ -41,9 +46,8 @@ class CampaignResult:
     min_diameter: float
     disconnected_fraction: float
     worst_fault_set: Optional[FaultSet] = None
-    #: BFS strategy the evaluating index picks on the fault-free rows
-    #: ("batched" / "per-source"); recorded by the engine so sweep tables can
-    #: correlate throughput with the strategy actually exercised.
+    #: BFS kernel label (:data:`BFS_STRATEGY`), recorded by the engine and
+    #: the suite so stored rows carry their evaluation provenance.
     bfs_strategy: Optional[str] = None
     #: Realised fault-set sizes across the battery.  These equal
     #: ``fault_size`` for fixed-size batteries but carry the real

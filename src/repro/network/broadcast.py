@@ -172,9 +172,8 @@ def counter_limit_suffices(
     answers the deployment question ("is this limit safe after these
     faults?") through the bounded *decision* path of
     :meth:`~repro.core.route_index.RouteIndex.surviving_diameter_at_most`
-    instead of an exact diameter evaluation: each source's BFS is abandoned
-    the moment its eccentricity exceeds the limit and the first violating
-    source short-circuits the whole check.  An index is built on the fly
+    instead of an exact diameter evaluation: the check stops at the first
+    BFS level that proves some eccentricity exceeds the limit.  An index is built on the fly
     when none is supplied (one pass over the routes — the same cost a single
     exact evaluation would have paid before its BFS even started).
     """

@@ -61,6 +61,7 @@ from repro.faults.engine import (
     workload_key,
 )
 from repro.faults.simulation import (
+    BFS_STRATEGY,
     CampaignResult,
     CampaignStatus,
     DecisionCampaignResult,
@@ -185,15 +186,15 @@ def _expand_tasks(
     node_counts: Optional[Sequence[Optional[int]]] = None,
     skip: Iterable[Tuple[int, int]] = (),
     drop: Iterable[int] = (),
-    tunables: Optional[Sequence[Optional[Tuple[int, str]]]] = None,
+    backends: Optional[Sequence[Optional[str]]] = None,
     greedy: bool = False,
     candidate_limit: int = 40,
 ) -> Tuple[List[ShardTask], List[Tuple[Tuple[int, int], int]]]:
     """Flatten the suite into shard tasks plus per-campaign metadata.
 
-    ``tunables[i]`` optionally carries scenario ``i``'s parent-resolved
-    ``(density_threshold, backend)`` pair; it is stamped onto every task of
-    that scenario so workers evaluate with exactly the parent's resolution.
+    ``backends[i]`` optionally carries scenario ``i``'s parent-resolved
+    eval backend; it is stamped onto every task of that scenario so workers
+    evaluate with exactly the parent's resolution.
 
     With ``greedy`` set, every ``random`` (sizes-model) campaign of
     positive fault size gains one trailing ``"greedy"`` task: a single
@@ -234,12 +235,7 @@ def _expand_tasks(
         if scenario_index in dropped:
             continue
         node_count = node_counts[scenario_index] if node_counts else None
-        scenario_tunables = (
-            tunables[scenario_index] if tunables is not None else None
-        )
-        density_threshold, backend = (
-            scenario_tunables if scenario_tunables is not None else (None, None)
-        )
+        backend = backends[scenario_index] if backends is not None else None
         for plan_index, (mode, fault_size, p, total) in enumerate(
             _campaign_plans(scenario, samples, node_count)
         ):
@@ -263,7 +259,6 @@ def _expand_tasks(
                         start=start,
                         seed=shard_seed(seed, tag, shard_index),
                         cap=bound,
-                        density_threshold=density_threshold,
                         backend=backend,
                     )
                 )
@@ -282,7 +277,6 @@ def _expand_tasks(
                         start=total,
                         seed=shard_seed(seed, tag + "|greedy", 0),
                         cap=bound,
-                        density_threshold=density_threshold,
                         backend=backend,
                         candidate_limit=candidate_limit,
                     )
@@ -371,7 +365,6 @@ def run_scenario_suite(
     share_index: bool = True,
     skip_inapplicable: Union[bool, Iterable[Union[str, int]]] = False,
     skipped: Optional[List[Tuple[Scenario, str]]] = None,
-    density_threshold: Optional[Union[int, str]] = None,
     backend: Optional[str] = None,
     policy: Optional[SupervisorPolicy] = None,
     supervised: bool = True,
@@ -432,13 +425,13 @@ def run_scenario_suite(
         where not every strategy applies everywhere.  Graph construction
         itself is never forgiven: a malformed graph axis raises
         regardless.
-    density_threshold, backend:
-        Index tunables (see :class:`~repro.core.route_index.RouteIndex`).
-        Whatever they resolve to — explicit argument, environment variable
+    backend:
+        Eval backend (see :class:`~repro.core.route_index.RouteIndex`).
+        Whatever it resolves to — explicit argument, environment variable
         or default — is resolved **once, in the parent** and stamped onto
         every shard task, so workers never consult their own environment:
         a pool whose processes see divergent ``REPRO_*`` variables still
-        evaluates every shard with the parent's strategy.
+        evaluates every shard with the parent's backend.
     skipped:
         Optional list the suite appends ``(scenario, reason)`` pairs to for
         every scenario dropped under ``skip_inapplicable`` (in suite
@@ -531,9 +524,8 @@ def run_scenario_suite(
     else:
         may_skip = set(skip_inapplicable)
 
-    built: Dict[
-        int, Tuple[Scenario, ConstructionResult, int, int, str, Tuple[int, str]]
-    ] = {}
+    # scenario index -> (scenario, construction, n, m, resolved backend)
+    built: Dict[int, Tuple[Scenario, ConstructionResult, int, int, str]] = {}
     dropped: Dict[int, str] = {}
     workloads: Dict[str, Tuple[RouteIndex, str]] = {}
 
@@ -623,25 +615,18 @@ def run_scenario_suite(
                 graph.number_of_edges(),
             )
             continue
-        index = RouteIndex(
-            graph,
-            result.routing,
-            density_threshold=density_threshold,
-            backend=backend,
-        )
-        # The parent's resolved tunables travel with every task and key the
+        index = RouteIndex(graph, result.routing, backend=backend)
+        # The parent's resolved backend travels with every task and keys the
         # workload, so shared slim indexes and worker rebuilds agree with
         # the parent no matter what the workers' environment says.
-        resolved = (index.density_threshold, index.backend)
-        key = workload_key(scenario.canonical(), *resolved)
+        key = workload_key(scenario.canonical(), index.backend)
         workloads[key] = (index, result.fingerprint())
         built[scenario_index] = (
             scenario,
             result,
             graph.number_of_nodes(),
             graph.number_of_edges(),
-            index.preferred_strategy(),
-            resolved,
+            index.backend,
         )
 
     # A partially-complete scenario is rebuilt for its remaining campaigns;
@@ -676,8 +661,8 @@ def run_scenario_suite(
         else:
             node_counts.append(None)
 
-    tunables: List[Optional[Tuple[int, str]]] = [
-        built[scenario_index][5] if scenario_index in built else None
+    backends: List[Optional[str]] = [
+        built[scenario_index][4] if scenario_index in built else None
         for scenario_index in range(len(scenario_list))
     ]
     tasks, campaigns = _expand_tasks(
@@ -689,7 +674,7 @@ def run_scenario_suite(
         node_counts=node_counts,
         skip=completed,
         drop=dropped,
-        tunables=tunables,
+        backends=backends,
         greedy=greedy,
         candidate_limit=candidate_limit,
     )
@@ -704,9 +689,7 @@ def run_scenario_suite(
     failed_reasons: Dict[Tuple[int, int], str] = {}
 
     def _finalise(campaign_key: Tuple[int, int], outcomes: List) -> None:
-        scenario, result, nodes, edges, strategy, resolved = built[
-            campaign_key[0]
-        ]
+        scenario, result, nodes, edges, resolved_backend = built[campaign_key[0]]
         # A quarantined campaign is checked first: its collected outcomes
         # (if any shards did finish) are partial and must not feed an
         # aggregate.  The row still carries the real construction metadata
@@ -721,15 +704,14 @@ def run_scenario_suite(
             campaign = aggregate_decisions(
                 fault_sizes[campaign_key], bound, outcomes
             )
-            campaign.bfs_strategy = strategy
         else:
             campaign = aggregate_outcomes(fault_sizes[campaign_key], outcomes)
-            campaign.bfs_strategy = strategy
         if campaign_key not in failed_reasons:
+            campaign.bfs_strategy = BFS_STRATEGY
             # Provenance columns: the parent-resolved eval backend, and the
             # greedy candidate budget when this row's battery carried an
             # adversarial probe.
-            campaign.eval_backend = resolved[1]
+            campaign.eval_backend = resolved_backend
             if (
                 greedy
                 and scenario.faults.kind == "sizes"

@@ -135,7 +135,6 @@ class RoutingArtifact:
         scheme: str,
         routing_name: str,
         backend: str,
-        density_threshold: int,
         next_hop: array,
         route_offsets: array,
         route_nodes: array,
@@ -155,7 +154,6 @@ class RoutingArtifact:
         self.scheme = scheme
         self.routing_name = routing_name
         self.backend = backend
-        self.density_threshold = density_threshold
         self.next_hop = next_hop
         self.route_offsets = route_offsets
         self.route_nodes = route_nodes
@@ -196,7 +194,6 @@ class RoutingArtifact:
             "multi": self.multi,
             "base_rows": self.base_rows,
             "base_preds": self.base_preds,
-            "density_threshold": self.density_threshold,
             "backend": self.backend,
         }
         if self.multi:
@@ -291,7 +288,6 @@ class RoutingArtifact:
             "mask_bytes": self._mask_width,
             "nodes": [encode_node(node) for node in self.nodes],
             "backend": self.backend,
-            "density_threshold": self.density_threshold,
             "payload_sha256": hashlib.sha256(payload).hexdigest(),
             "sections": directory,
         }
@@ -324,7 +320,6 @@ def compile_routing_artifact(
     *,
     scheme: str = "",
     backend: Optional[str] = None,
-    density_threshold: Optional[Union[int, str]] = None,
     index: Optional[RouteIndex] = None,
 ) -> RoutingArtifact:
     """Lower a built routing into a :class:`RoutingArtifact`.
@@ -335,9 +330,7 @@ def compile_routing_artifact(
     The artifact is versioned on ``routing.fingerprint()``.
     """
     if index is None:
-        index = RouteIndex(
-            graph, routing, density_threshold=density_threshold, backend=backend
-        )
+        index = RouteIndex(graph, routing, backend=backend)
     elif not index.matches(graph, routing):
         raise ArtifactError(
             "the supplied index was built for a different (graph, routing) pair"
@@ -404,7 +397,6 @@ def compile_routing_artifact(
         scheme=scheme,
         routing_name=routing.name or "",
         backend=str(state["backend"]),
-        density_threshold=int(state["density_threshold"]),
         next_hop=next_hop,
         route_offsets=route_offsets,
         route_nodes=_int_array("i", route_nodes),
@@ -526,6 +518,9 @@ def load_artifact(
             )
             cursor += count
         kwargs["kill_rows"] = kill_rows
+    # Header keys this reader does not name are ignored: artifacts from
+    # builds that still had a BFS density switch carry a stale
+    # ``density_threshold`` key and load unchanged.
     return RoutingArtifact(
         fingerprint=fingerprint,
         nodes=nodes,
@@ -533,7 +528,6 @@ def load_artifact(
         scheme=header.get("scheme", ""),
         routing_name=header.get("routing_name", ""),
         backend=header.get("backend", "bitset"),
-        density_threshold=int(header.get("density_threshold", 8)),
         next_hop=_bytes_array("i", section("next_hop")),
         route_offsets=_bytes_array("q", section("route_offsets")),
         route_nodes=_bytes_array("i", section("route_nodes")),

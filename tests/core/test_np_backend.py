@@ -3,7 +3,7 @@
 Covers the plumbing around the packed-uint64 numpy backend rather than its
 arithmetic (that is the hypothesis suite's job): how ``backend=`` / the
 ``REPRO_EVAL_BACKEND`` env var / ``REPRO_NO_NUMPY`` resolve, that the
-resolved tunables survive pickling and ``slim()`` shipping unchanged (so
+resolved backend survives pickling and ``slim()`` shipping unchanged (so
 workers never re-read the environment), and the ``EvalCursor`` lower-bound
 memoisation added alongside the backend (a failed ``diameter(cap=...)``
 must not be forgotten).
@@ -119,13 +119,12 @@ class TestNumpyShipping:
 
     def test_slim_drops_np_kernel_and_keeps_tunables(self, workload):
         graph, routing = workload
-        index = RouteIndex(graph, routing, density_threshold=7, backend="numpy")
+        index = RouteIndex(graph, routing, backend="numpy")
         faults = frozenset(list(graph.nodes())[:2])
         before = index.surviving_diameter(faults)
         slim = pickle.loads(pickle.dumps(index.slim()))
         assert slim.graph is None and slim.routing is None
         assert slim._np_kernel is None
-        assert slim.density_threshold == 7
         assert slim.backend == EVAL_BACKEND_NUMPY
         assert slim.surviving_diameter(faults) == before
 
@@ -143,31 +142,30 @@ class TestNumpyShipping:
 
 
 class TestTunablesResolveOnceInParent:
-    """Workers must inherit parent-resolved tunables, never re-read the env."""
+    """Workers must inherit the parent-resolved backend, never re-read the env."""
 
-    def test_shipped_threshold_survives_divergent_worker_env(
+    def test_shipped_backend_survives_divergent_worker_env(
         self, workload, tmp_path
     ):
-        """Regression: a worker env override used to re-resolve the threshold.
+        """Regression: a worker env override used to re-resolve tunables.
 
-        The parent resolves ``density_threshold`` at construction; a
-        subprocess with a conflicting ``REPRO_BFS_DENSITY_THRESHOLD`` must
-        still see the parent's value on the unpickled slim index.
+        The parent resolves ``backend`` at construction; a subprocess with a
+        conflicting ``REPRO_EVAL_BACKEND`` must still see the parent's value
+        on the unpickled slim index.
         """
         graph, routing = workload
-        index = RouteIndex(graph, routing, density_threshold=7, backend="bitset")
+        index = RouteIndex(graph, routing, backend="bitset")
         payload = tmp_path / "index.pickle"
         payload.write_bytes(pickle.dumps(index.slim()))
         src_dir = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.abspath(src_dir)
-        env["REPRO_BFS_DENSITY_THRESHOLD"] = "999"
         env["REPRO_EVAL_BACKEND"] = "numpy"
         script = textwrap.dedent(
             f"""
             import pickle
             index = pickle.loads(open({str(payload)!r}, "rb").read())
-            print(index.density_threshold, index.backend)
+            print(index.backend, index.surviving_diameter([]))
             """
         )
         out = subprocess.run(
@@ -177,23 +175,20 @@ class TestTunablesResolveOnceInParent:
             text=True,
             check=True,
         )
-        assert out.stdout.split() == ["7", "bitset"]
+        assert out.stdout.split() == ["bitset", str(index.surviving_diameter([]))]
 
     def test_suite_task_tunables_override_worker_env(self, monkeypatch):
-        """Worker-side rebuilds honour stamped task tunables over the env."""
+        """Worker-side rebuilds honour the stamped task backend over the env."""
         from repro.faults.engine import ShardTask, _workload
 
-        monkeypatch.setenv("REPRO_BFS_DENSITY_THRESHOLD", "999")
+        monkeypatch.setenv("REPRO_EVAL_BACKEND", "numpy")
         spec = "circulant:n=12,offsets=1+2/kernel"
-        stamped = ShardTask(
-            mode="random", spec=spec, density_threshold=5, backend="bitset"
-        )
+        stamped = ShardTask(mode="random", spec=spec, backend="bitset")
         index, _ = _workload(stamped, {})
-        assert index.density_threshold == 5
         assert index.backend == EVAL_BACKEND_BITSET
-        # Historical path: no stamped tunables -> the worker env applies.
+        # Historical path: no stamped backend -> the worker env applies.
         legacy, _ = _workload(ShardTask(mode="random", spec=spec), {})
-        assert legacy.density_threshold == 999
+        assert legacy.backend == EVAL_BACKEND_NUMPY
 
 
 class TestCursorLowerBoundMemoisation:

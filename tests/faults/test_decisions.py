@@ -28,7 +28,7 @@ class TestDecisionCampaigns:
         assert row.bound == 4
         assert row.samples == 15
         assert row.violations + round(row.pass_fraction * row.samples) == row.samples
-        assert row.bfs_strategy in ("batched", "per-source")
+        assert row.bfs_strategy == "batched"
 
     def test_decisions_agree_with_exact_evaluation(self, workload):
         """A set is a violation iff its exact surviving diameter exceeds the bound."""

@@ -35,7 +35,7 @@ class TestSuiteBasics:
         assert row.scheme == "kernel"
         assert row.nodes == 8 and row.edges == 12
         assert len(row.fingerprint) == 64
-        assert row.campaign.bfs_strategy in ("batched", "per-source")
+        assert row.campaign.bfs_strategy == "batched"
         flat = row.as_row()
         assert flat["scenario"] == row.scenario
         assert flat["fingerprint"] == row.fingerprint[:12]
@@ -523,11 +523,11 @@ class TestScenarioCache:
         from repro.faults.engine import ShardTask
 
         limit = engine_module._WORKLOAD_LIMIT
-        # Distinct density thresholds give distinct workload keys, so each
-        # lookup misses and rebuilds the scenario.
+        # Distinct specs give distinct workload keys, so each lookup misses
+        # and rebuilds the scenario.
         tasks = [
-            ShardTask(mode="random", spec="cycle:n=8/kernel", density_threshold=i)
-            for i in range(1, limit + 6)
+            ShardTask(mode="random", spec=f"cycle:n={n}/kernel")
+            for n in range(6, limit + 11)
         ]
         engine_module._install_workloads(None)
         try:
@@ -622,6 +622,37 @@ class TestGreedyProbe:
                 greedy=True, candidate_limit=6,
             )
         assert resumed_path.read_text() == full_path.read_text()
+
+    def test_resume_keeps_rows_recorded_per_source(self, tmp_path):
+        """Stores from builds with a BFS density switch resume unchanged.
+
+        Those builds stamped some rows ``"bfs": "per-source"``; the rows are
+        rehydrated verbatim and only the recomputed rows say ``"batched"``.
+        """
+        from repro.results import ResultStore
+        from repro.scenarios.suite import suite_manifest
+
+        scenarios = ["hypercube:d=3/kernel/sizes:1,2"]
+        run = suite_manifest(scenarios, 4, 3)
+        full_path = tmp_path / "full.jsonl"
+        with ResultStore.open(str(full_path), run) as store:
+            run_scenario_suite(scenarios, samples=4, seed=3, store=store)
+        lines = full_path.read_text().splitlines(keepends=True)
+        assert len(lines) == 3 and '"bfs":"batched"' in lines[1]
+        old_row = lines[1].replace('"bfs":"batched"', '"bfs":"per-source"')
+        resumed_path = tmp_path / "resumed.jsonl"
+        resumed_path.write_text(lines[0] + old_row)
+        with ResultStore.open(str(resumed_path), run) as store:
+            rows = run_scenario_suite(scenarios, samples=4, seed=3, store=store)
+        assert resumed_path.read_text() == lines[0] + old_row + lines[2]
+        assert [row.campaign.bfs_strategy for row in rows] == [
+            "per-source",
+            "batched",
+        ]
+        fresh = run_scenario_suite(scenarios, samples=4, seed=3)
+        for resumed, clean in zip(rows, fresh):
+            assert resumed.campaign.max_diameter == clean.campaign.max_diameter
+            assert resumed.campaign.mean_diameter == clean.campaign.mean_diameter
 
     def test_greedy_manifest_parameters_gate_resume(self, tmp_path):
         from repro.results import ResultStore, ResultStoreError

@@ -1,5 +1,6 @@
 """Unit tests for the compiled routing artifact: format, checksums, refusal."""
 
+import json
 import os
 
 import pytest
@@ -136,6 +137,34 @@ class TestDiskRoundTrip:
         loaded = load_artifact(path)
         assert loaded.nodes == artifact.nodes
         assert all(isinstance(node, tuple) for node in loaded.nodes)
+
+
+    def test_header_from_density_switch_builds_still_loads(
+        self, tmp_path, single_case
+    ):
+        """Older builds wrote a ``density_threshold`` header key; it is ignored."""
+        graph, result, artifact = single_case
+        path = os.path.join(tmp_path, "old.repart")
+        artifact.save(path)
+        blob = open(path, "rb").read()
+        start = len(ARTIFACT_MAGIC) + 4
+        length = int.from_bytes(blob[len(ARTIFACT_MAGIC) : start], "big")
+        header = json.loads(blob[start : start + length])
+        assert "density_threshold" not in header
+        header["density_threshold"] = 8
+        old = json.dumps(header, sort_keys=True).encode("utf-8")
+        with open(path, "wb") as handle:
+            handle.write(
+                ARTIFACT_MAGIC + len(old).to_bytes(4, "big") + old + blob[start + length :]
+            )
+        loaded = load_artifact(path, expect_fingerprint=artifact.fingerprint)
+        assert loaded.base_rows == artifact.base_rows
+        assert loaded.kill_rows == artifact.kill_rows
+        original = RouteIndex(graph, result.routing)
+        for faults in [(), graph.nodes()[:2], graph.nodes()[3:6]]:
+            assert loaded.to_index().surviving_diameter(
+                faults
+            ) == original.surviving_diameter(faults)
 
 
 class TestRefusal:
