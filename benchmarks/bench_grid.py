@@ -10,9 +10,10 @@ Four claims are measured and enforced:
    the payload is an optimisation, never a semantic change — and both wall
    times are recorded so regressions in either path show up in the JSON.
 
-2. **Supervised dispatch is free on the clean path.**  The same suite runs
-   through the :class:`~repro.runtime.Supervisor` (timeouts, retry budgets,
-   dead-worker detection armed) and through the bare ``pool.imap`` baseline
+2. **Supervised dispatch is free on the clean path.**  The same suite —
+   scenario builds and shards — runs through the
+   :class:`~repro.runtime.Supervisor` (timeouts, retry budgets, dead-worker
+   detection armed) and through the bare ``pool.imap`` baseline
    (``supervised=False``).  Rows must be identical and the supervised best
    time must stay within 5% of the baseline (or a small absolute delta on
    quick runs, where timer noise exceeds 5%).
@@ -21,8 +22,9 @@ Four claims are measured and enforced:
    sweep is persisted to a JSONL result store, the store is truncated
    mid-row (simulating a kill), and the sweep is resumed.  The gate checks
    that (a) the resumed store is byte-identical to the uninterrupted one,
-   (b) the resumed run evaluated strictly fewer shard tasks than the full
-   run, and (c) the rendered scaling report matches exactly.
+   (b) the resumed run evaluated strictly fewer shard tasks (scenario
+   builds not counted) than the full run, and (c) the rendered scaling
+   report matches exactly.
 
 4. **Split strategy-comparison runs merge losslessly.**  One
    ``kernel|circular`` grid is swept whole, then again split per strategy
@@ -204,7 +206,8 @@ def _bench_resume(quick: bool) -> dict:
     original_eval = engine_module._run_shard
 
     def counting_eval(task, *args):
-        evaluated.append(task.campaign_key)
+        if task.mode != "build":
+            evaluated.append(task.campaign_key)
         return original_eval(task, *args)
 
     engine_module._run_shard = counting_eval

@@ -1141,9 +1141,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "wall-clock budget per shard task; a task over budget is "
-            "retried on a rebuilt pool and quarantined once --retries is "
-            "exhausted (default: no timeout)"
+            "wall-clock budget per task, scenario builds included; a task "
+            "over budget is retried on a rebuilt pool and quarantined once "
+            "--retries is exhausted (default: no timeout; with --workers 1 "
+            "tasks run in-process and are never timed out)"
         ),
     )
     sub_grid.add_argument(
@@ -1151,17 +1152,18 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help=(
-            "retry budget per shard task before its campaign is "
-            "quarantined as a failed row (default: 2; retries recompute "
-            "byte-identical outcomes)"
+            "retry budget per task before its campaign (or, for a scenario "
+            "build, every campaign of the scenario) is quarantined as a "
+            "failed row; applies with --workers 1 too (default: 2; retries "
+            "recompute byte-identical outcomes)"
         ),
     )
     sub_grid.add_argument(
         "--strict",
         action="store_true",
         help=(
-            "fail fast on the first exhausted task instead of quarantining "
-            "its campaign as a failed row"
+            "fail fast on the first exhausted task (shard or scenario "
+            "build) instead of quarantining its campaigns as failed rows"
         ),
     )
     sub_grid.add_argument(

@@ -124,7 +124,11 @@ class ShardTask:
       the ``repr``-sorted node pool;
     * ``"greedy"`` — one adversarially-grown set of ``fault_size`` (the
       batched greedy search with ``candidate_limit`` candidates per round,
-      seeded by ``seed``).
+      seeded by ``seed``);
+    * ``"build"`` — no fault sets: construct the scenario ``spec`` (graph,
+      routing and an index with ``backend``) and return its slim index and
+      construction metadata (see
+      :func:`repro.scenarios.suite.build_scenario`).
 
     Every set is evaluated with the eccentricity cap ``cap`` (``None``:
     exact diameters).  Capped outcomes are the exact diameter when it is at
@@ -159,6 +163,8 @@ class ShardTask:
     @property
     def label(self) -> str:
         """Chaos-point label; ``REPRO_CHAOS`` match filters test it by substring."""
+        if self.mode == "build":
+            return self.spec
         if self.spec is None:
             # Existing match filters expect engine exhaustive shards to
             # report size 0.
@@ -251,15 +257,18 @@ def _combinations_slice(pool, size: int, start: int, count: int):
 # ----------------------------------------------------------------------
 # Worker-process plumbing
 # ----------------------------------------------------------------------
-# The parent builds every index once and the pool initializer installs the
-# *slim* forms (bitset rows + kill masks + node labels, no graph or routing
-# objects — see :meth:`RouteIndex.slim`) in each worker, keyed by workload.
-# Only shard descriptors and outcome rows cross the process boundary
-# afterwards; shards regenerate their fault sets from the index's canonical
-# node pool.  Without a shared payload (``share_index=False``) workers
-# rebuild each scenario from its canonical string instead, at most
-# ``_WORKLOAD_LIMIT`` at a time (FIFO), which is what makes the parent's
-# fingerprint verification a genuine cross-process determinism check.
+# Suite scenarios are built by ``"build"`` tasks — in the pool, under the
+# same supervision as shards — and each returns only its *slim* index
+# (bitset rows + kill masks + node labels, no graph or routing objects —
+# see :meth:`RouteIndex.slim`).  :meth:`ShardExecutor.install` registers
+# them and restarts the pool once, so its initializer installs them in each
+# worker, keyed by workload.  Only shard descriptors and outcome rows cross
+# the process boundary afterwards; shards regenerate their fault sets from
+# the index's canonical node pool.  Without a shared payload
+# (``share_index=False``) workers rebuild each scenario from its canonical
+# string instead, at most ``_WORKLOAD_LIMIT`` at a time (FIFO), which is
+# what makes the parent's fingerprint verification a genuine determinism
+# check between independent constructions.
 _WORKLOADS: Dict[str, Workload] = {}
 _WORKLOAD_LIMIT = 8
 
@@ -299,8 +308,14 @@ def _run_shard(
     """Evaluate one shard; returns ``(workload fingerprint, outcomes)``.
 
     Pool workers evaluate against the installed ``_WORKLOADS``; the
-    executor's in-process path passes its own ``workloads``.
+    executor's in-process path passes its own ``workloads``.  ``"build"``
+    tasks construct their scenario instead and return
+    :func:`repro.scenarios.suite.build_scenario`'s value.
     """
+    if task.mode == "build":
+        from repro.scenarios.suite import build_scenario
+
+        return build_scenario(task)
     chaos_point("task", task.label)
     index, fingerprint = _workload(
         task, _WORKLOADS if workloads is None else workloads
@@ -331,7 +346,9 @@ class ShardExecutor:
     Parameters
     ----------
     workloads:
-        ``{workload key: (index, fingerprint)}`` built in the parent.
+        ``{workload key: (index, fingerprint)}`` known up front;
+        :meth:`install` adds more between runs (the suite's built
+        scenarios).
     workers:
         ``1`` evaluates in-process with no :mod:`multiprocessing` at all;
         larger values start one pool on first use whose initializer installs
@@ -390,6 +407,17 @@ class ShardExecutor:
     def _run_local(self, task: ShardTask):
         return _run_shard(task, self.workloads)
 
+    def install(self, workloads: Dict[str, Workload]) -> None:
+        """Register ``workloads`` for the following runs.
+
+        A running pool that ships indexes is shut down so the next run
+        starts a fresh one whose initializer installs them; without a
+        shared payload the pool is kept.
+        """
+        self.workloads.update(workloads)
+        if self.share_index:
+            self.close()
+
     def close(self) -> None:
         """Terminate the worker pool (no-op when none was started)."""
         if self._pool is not None:
@@ -401,9 +429,11 @@ class ShardExecutor:
     def run(self, tasks: Iterable[ShardTask]) -> Iterator[Tuple[ShardTask, object]]:
         """Yield ``(task, result)`` in task order.
 
-        ``result`` is :func:`_run_shard`'s ``(fingerprint, outcomes)`` pair,
-        or a :class:`~repro.runtime.FailedTask` for a task the supervisor
-        quarantined (never under a ``strict`` policy, which raises instead).
+        ``result`` is :func:`_run_shard`'s ``(fingerprint, outcomes)`` pair
+        (a ``"build"`` task's :func:`repro.scenarios.suite.build_scenario`
+        value), or a :class:`~repro.runtime.FailedTask` for a task the
+        supervisor quarantined (never under a ``strict`` policy, which
+        raises instead).
         """
         if not self.supervised:
             if self.workers == 1:

@@ -12,7 +12,9 @@ return — no measurable cost on the clean path.
     REPRO_CHAOS="<site>:<action>[:<match>]"
 
 * ``site`` — where to fire.  ``task`` fires inside worker task evaluation
-  (engine shards and suite tasks); ``append`` fires inside
+  (engine shards and suite tasks); ``build`` fires at the top of a suite
+  scenario's construction task (its label is the canonical scenario
+  string); ``append`` fires inside
   :meth:`repro.results.store.ResultStore.append`.
 * ``action`` — what to do:
 
@@ -51,7 +53,7 @@ CHAOS_ENV = "REPRO_CHAOS"
 #: Environment variable naming the once-only claim directory.
 LEDGER_ENV = "REPRO_CHAOS_LEDGER"
 
-CHAOS_SITES = ("task", "append")
+CHAOS_SITES = ("task", "build", "append")
 CHAOS_ACTIONS = ("fail", "kill", "exit", "hang", "torn")
 
 

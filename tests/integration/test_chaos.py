@@ -16,6 +16,7 @@ the campaign becomes a ``disposition="failed"`` status row instead of
 aborting the sweep.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -156,6 +157,114 @@ class TestTransientFaults:
         rows = _run_suite(path, workers=2, policy=policy)
         assert path.read_bytes() == golden[0]
         assert [row.record() for row in rows] == golden[1]
+
+
+class TestBuildFaults:
+    """Construction runs as supervised build tasks: the same recovery."""
+
+    @pytest.mark.parametrize("action", ["fail", "kill", "hang"])
+    def test_transient_build_fault_recovers_byte_identical(
+        self, tmp_path, monkeypatch, ledger, golden, action
+    ):
+        # The task timeout covers builds: a wedged build is abandoned and
+        # rebuilt on a fresh pool.
+        policy = SupervisorPolicy(
+            task_timeout=1.0, backoff_base=0.001, backoff_max=0.002
+        )
+        monkeypatch.setenv(CHAOS_ENV, f"build:{action}")
+        path = tmp_path / "store.jsonl"
+        rows = _run_suite(path, workers=2, policy=policy)
+        assert len(list(ledger.iterdir())) == 1  # the injection did fire
+        assert path.read_bytes() == golden[0]
+        assert [row.record() for row in rows] == golden[1]
+
+    def test_poisoned_build_inprocess_retries_byte_identical(
+        self, tmp_path, monkeypatch, ledger, golden
+    ):
+        monkeypatch.setenv(CHAOS_ENV, "build:fail")
+        path = tmp_path / "store.jsonl"
+        rows = _run_suite(path, workers=1)
+        assert len(list(ledger.iterdir())) == 1
+        assert path.read_bytes() == golden[0]
+        assert [row.record() for row in rows] == golden[1]
+
+    def test_permanent_build_failure_quarantines_one_scenario(self, tmp_path):
+        grid = "hypercube:d=3..4/kernel/t=1/sizes:1-2"
+        args = ["--samples", "6", "--seed", "3", "--workers", "2"]
+        clean = _cli(tmp_path, "grid", grid, *args, "--store", "clean.jsonl")
+        assert clean.returncode == 0, clean.stderr
+        # No ledger: every attempt to build hypercube:d=4 is poisoned.
+        chaotic = _cli(
+            tmp_path,
+            "grid",
+            grid,
+            *args,
+            "--retries",
+            "1",
+            "--store",
+            "chaos.jsonl",
+            chaos="build:fail:hypercube:d=4",
+        )
+        assert chaotic.returncode != 0
+        assert "campaign failed (quarantined): hypercube:d=4" in chaotic.stdout
+
+        def records(name):
+            lines = (tmp_path / name).read_text().splitlines()[1:]
+            return {
+                entry["key"]: entry["record"]
+                for entry in map(json.loads, lines)
+            }
+
+        clean_rows, chaos_rows = records("clean.jsonl"), records("chaos.jsonl")
+        assert set(chaos_rows) == set(clean_rows)
+        failed = {
+            key for key, row in chaos_rows.items()
+            if row["disposition"] == "failed"
+        }
+        assert failed == {key for key in clean_rows if "d=4" in key}
+        for key, row in chaos_rows.items():
+            if key not in failed:
+                assert row == clean_rows[key]
+                continue
+            assert "injected failure" in row["reason"]
+            assert row["scheme"] is None and row["fingerprint"] is None
+            assert (row["n"], row["m"]) == (16, 32)
+
+    def test_strict_build_failure_raises(self, tmp_path, monkeypatch):
+        from repro.runtime import TaskFailedError
+
+        monkeypatch.setenv(CHAOS_ENV, "build:fail:hypercube")
+        monkeypatch.delenv(LEDGER_ENV, raising=False)
+        with pytest.raises(TaskFailedError):
+            _run_suite(
+                tmp_path / "store.jsonl",
+                workers=2,
+                policy=SupervisorPolicy(max_retries=0, strict=True),
+            )
+
+    def test_resume_completes_partially_stored_build_failure(
+        self, tmp_path, monkeypatch
+    ):
+        # The cycle scenario's build always fails: both of its campaign
+        # keys get failed rows (fingerprint None) ahead of the other rows.
+        monkeypatch.setenv(CHAOS_ENV, "build:fail:cycle")
+        monkeypatch.delenv(LEDGER_ENV, raising=False)
+        path = tmp_path / "store.jsonl"
+        rows = _run_suite(path, workers=2)
+        full_bytes = path.read_bytes()
+        assert [row.campaign.disposition for row in rows[:2]] == ["failed"] * 2
+
+        # Crash after the first failed row; resume with chaos cleared.  The
+        # stored ruling is honoured (no rebuild, no fingerprint mismatch)
+        # and the missing failed row is completed in place.
+        lines = full_bytes.splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:2]))
+        monkeypatch.delenv(CHAOS_ENV)
+        resumed = _run_suite(path, workers=2)
+        assert path.read_bytes() == full_bytes
+        assert [row.record() for row in resumed] == [
+            row.record() for row in rows
+        ]
 
 
 class TestEngineFaults:

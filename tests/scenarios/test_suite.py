@@ -517,6 +517,129 @@ class TestSharedIndexPayload:
         assert engine_module._WORKLOADS == {}
 
 
+class TestParallelBuilds:
+    """Scenarios build as supervised tasks in the worker pool."""
+
+    #: Circular does not apply to these hypercubes (status rows), and the
+    #: last scenario repeats the first (an independent battery, one build).
+    SPECS = [
+        "hypercube:d=3/kernel/t=1/sizes:1,2",
+        "hypercube:d=3/circular/t=1/sizes:1,2",
+        "hypercube:d=4/kernel/t=1/sizes:1,2",
+        "hypercube:d=4/circular/t=1/sizes:1,2",
+        "cycle:n=9/kernel/t=1/exhaustive:f=1",
+        "hypercube:d=3/kernel/t=1/sizes:1,2",
+    ]
+
+    def _run(self, path, **kwargs):
+        from repro.results import ResultStore
+        from repro.scenarios import suite_manifest
+
+        run = suite_manifest(self.SPECS, 4, 5, None, 3)
+        with ResultStore.open(str(path), run) as store:
+            rows = run_scenario_suite(
+                self.SPECS,
+                samples=4,
+                seed=5,
+                chunk_size=3,
+                store=store,
+                skip_inapplicable=True,
+                **kwargs,
+            )
+        return [row.record() for row in rows]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"workers": 2},
+            {"workers": 3},
+            {"workers": 2, "share_index": False},
+        ],
+    )
+    def test_stores_identical_across_workers_and_partial_resume(
+        self, tmp_path, kwargs
+    ):
+        reference_path = tmp_path / "reference.jsonl"
+        reference = self._run(reference_path, workers=1)
+        reference_bytes = reference_path.read_bytes()
+        # The store holds campaign rows and both scenarios' status rows.
+        assert reference_bytes.count(b'"inapplicable"') == 4
+
+        fresh_path = tmp_path / "fresh.jsonl"
+        assert self._run(fresh_path, **kwargs) == reference
+        assert fresh_path.read_bytes() == reference_bytes
+
+        # Pre-seeded partial stores, as a killed run leaves them: cut after
+        # one status row (a dropped scenario half recorded) and after the
+        # first campaign row (a built scenario half recorded), each with
+        # half of the next line.
+        lines = reference_bytes.splitlines(keepends=True)
+        for cut in (2, 6):
+            partial_path = tmp_path / f"partial-{cut}.jsonl"
+            partial_path.write_bytes(b"".join(lines[:cut]) + lines[cut][:30])
+            assert self._run(partial_path, **kwargs) == reference
+            assert partial_path.read_bytes() == reference_bytes
+
+    def test_parent_never_builds_routings_with_a_pool(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+
+        from repro.scenarios import suite as suite_module
+
+        original = suite_module.build_routing
+        log = tmp_path / "build-pids"
+
+        def recording_build(*args, **kwargs):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return original(*args, **kwargs)
+
+        # Workers fork after the patch, so they call the wrapper too: the
+        # build goes through the module-level name.
+        monkeypatch.setattr(suite_module, "build_routing", recording_build)
+        run_scenario_suite(SMALL_SCENARIOS, samples=4, seed=0, workers=2)
+        pids = log.read_text().split()
+        assert len(pids) == len(SMALL_SCENARIOS)
+        assert str(os.getpid()) not in pids
+
+        log.unlink()
+        run_scenario_suite(SMALL_SCENARIOS, samples=4, seed=0, workers=1)
+        assert set(log.read_text().split()) == {str(os.getpid())}
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ("cycle:n=2/kernel/sizes:1", "at least three nodes"),
+            ("hypercube:d=3/kernel/sizes:9", "exceeds the graph's 8 nodes"),
+        ],
+    )
+    def test_bad_graphs_and_sizes_raise_before_any_task_or_row(
+        self, tmp_path, monkeypatch, bad, match
+    ):
+        from repro.faults import engine as engine_module
+        from repro.results import ResultStore
+        from repro.scenarios import suite_manifest
+
+        def no_task(task, *args):  # pragma: no cover - must not run
+            raise AssertionError(f"task dispatched: {task!r}")
+
+        monkeypatch.setattr(engine_module, "_run_shard", no_task)
+        specs = ["hypercube:d=3/circular/sizes:1", bad]
+        path = tmp_path / "rows.jsonl"
+        with ResultStore.open(str(path), suite_manifest(specs, 4, 0)) as store:
+            with pytest.raises(ValueError, match=match):
+                run_scenario_suite(
+                    specs,
+                    samples=4,
+                    seed=0,
+                    workers=2,
+                    store=store,
+                    skip_inapplicable=True,
+                )
+            assert len(store) == 0
+
+
 class TestScenarioCache:
     def test_cache_is_bounded(self):
         from repro.faults import engine as engine_module
