@@ -383,15 +383,38 @@ def _run_scenario_campaigns(args: argparse.Namespace) -> int:
             ),
         )
     )
-    if args.bound is not None:
-        violated = [row for row in rows if not row.campaign.holds]
-        for row in violated:
-            print(
-                f"bound violated: {row.scenario} at |F|={row.campaign.fault_size} "
-                f"({row.campaign.violations} violations)"
-            )
-        return 1 if violated else 0
-    return 0
+    return _report_failures(rows, args.bound, sys.stdout)
+
+
+def _report_failures(rows: Sequence, bound: Optional[float], file) -> int:
+    """Print quarantined and bound-violating suite rows; return the exit code.
+
+    Quarantined campaigns (retry budget exhausted under the supervisor)
+    come back as ``failed`` status rows.  Either kind fails the run, but
+    only after the caller has printed its table, so partial sweeps stay
+    inspectable.
+    """
+    failed = [row for row in rows if isinstance(row.campaign, CampaignStatus)]
+    for row in failed:
+        print(
+            f"campaign failed (quarantined): {row.scenario} at "
+            f"|F|={row.campaign.fault_size} — {row.campaign.reason}",
+            file=file,
+        )
+    violated = [
+        row
+        for row in rows
+        if bound is not None
+        and not isinstance(row.campaign, CampaignStatus)
+        and not row.campaign.holds
+    ]
+    for row in violated:
+        print(
+            f"bound violated: {row.scenario} at |F|={row.campaign.fault_size} "
+            f"({row.campaign.violations} violations)",
+            file=file,
+        )
+    return 1 if failed or violated else 0
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
@@ -509,34 +532,8 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         print()
         print(report)
 
-    # Quarantined campaigns (retry budget exhausted under the supervisor)
-    # come back as status rows: report them and fail the run, but only
-    # after the table and report above — partial sweeps stay inspectable,
-    # and the store keeps the failed rows so `repro report` annotates them.
-    failed = [row for row in rows if isinstance(row.campaign, CampaignStatus)]
-    for row in failed:
-        print(
-            f"campaign failed (quarantined): {row.scenario} at "
-            f"|F|={row.campaign.fault_size} — {row.campaign.reason}",
-            file=info,
-        )
-    exit_code = 1 if failed else 0
-    if args.bound is not None:
-        violated = [
-            row
-            for row in rows
-            if not isinstance(row.campaign, CampaignStatus)
-            and not row.campaign.holds
-        ]
-        for row in violated:
-            print(
-                f"bound violated: {row.scenario} at |F|={row.campaign.fault_size} "
-                f"({row.campaign.violations} violations)",
-                file=info,
-            )
-        if violated:
-            exit_code = 1
-    return exit_code
+    # The store keeps failed rows, so `repro report` annotates them too.
+    return _report_failures(rows, args.bound, info)
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:

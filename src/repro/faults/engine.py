@@ -8,12 +8,16 @@ instead of re-walking all ``n^2`` routes).
 
 :class:`ShardExecutor` runs that loop for both campaign front ends,
 :class:`CampaignEngine` (one graph and routing) and
-:func:`repro.scenarios.suite.run_scenario_suite` (many scenarios).  Batteries
-are cut into :class:`ShardTask` descriptors, and one supervised
-:mod:`multiprocessing` pool — or the calling process, with one worker —
-evaluates them, streaming outcomes back in task order so aggregation is
-incremental (bounded memory) and byte-for-byte independent of the worker
-count.
+:func:`repro.scenarios.suite.run_scenario_suite` (many scenarios).  Both
+plan and fold their campaigns with the suite's code:
+:func:`repro.scenarios.suite.plan_campaign` cuts a battery into
+:class:`ShardTask` descriptors (a greedy probe is one more task, grown by
+a worker), and :func:`repro.scenarios.suite.fold_campaign` aggregates a
+campaign's outcomes into its row.  One supervised :mod:`multiprocessing`
+pool — or the calling process, with one worker — evaluates the tasks,
+streaming outcomes back in task order so aggregation is incremental
+(bounded memory) and byte-for-byte independent of the worker count.  This
+module imports the suite lazily, since the suite builds on it.
 
 Determinism is a hard requirement: the same integer seed must produce the
 same campaign rows whether the battery runs in-process or across N workers.
@@ -51,19 +55,12 @@ from typing import (
 from repro.core.route_index import RouteIndex
 from repro.core.routing import MultiRouting, Routing
 from repro.faults.models import FaultSet
-from repro.faults.simulation import (
-    BFS_STRATEGY,
-    CampaignResult,
-    DecisionCampaignResult,
-    aggregate_decisions,
-    aggregate_outcomes,
-)
+from repro.faults.simulation import CampaignResult, DecisionCampaignResult
 from repro.graphs.graph import Graph
 from repro.runtime import Supervisor, SupervisorPolicy, chaos_point, shutdown_pool
 
 Node = Hashable
 AnyRouting = Union[Routing, MultiRouting]
-RandomLike = Union[int, _random.Random, None]
 Outcome = Tuple[FaultSet, float]
 CampaignRow = Union[CampaignResult, DecisionCampaignResult]
 Workload = Tuple[RouteIndex, Optional[str]]
@@ -166,10 +163,7 @@ class ShardTask:
         if self.mode == "build":
             return self.spec
         if self.spec is None:
-            # Existing match filters expect engine exhaustive shards to
-            # report size 0.
-            size = 0 if self.mode == "exhaustive" else self.fault_size
-            return f"shard:start={self.start},size={size}"
+            return f"shard:start={self.start},size={self.fault_size}"
         return f"{self.spec}#{self.campaign_key[1]}:start={self.start}"
 
     def materialise(self, pool: Union[Graph, Sequence[Node]]) -> Tuple[FaultSet, ...]:
@@ -453,7 +447,11 @@ class ShardExecutor:
 
 
 class CampaignEngine:
-    """Indexed fault-campaign runner: batteries to shards to aggregates.
+    """Indexed fault-campaign runner over one graph and routing.
+
+    It owns the routing's index and a :class:`ShardExecutor`; campaigns are
+    planned and folded by the suite's :func:`~repro.scenarios.suite
+    .plan_campaign` and :func:`~repro.scenarios.suite.fold_campaign`.
 
     Parameters
     ----------
@@ -528,63 +526,8 @@ class CampaignEngine:
         return self._index
 
     # ------------------------------------------------------------------
-    # Shard construction and evaluation
+    # Shard evaluation
     # ------------------------------------------------------------------
-    def _explicit_shards(
-        self, fault_sets: Iterable[FaultSet], cap: Optional[float] = None
-    ) -> Iterator[ShardTask]:
-        iterator = iter(fault_sets)
-        while True:
-            block = tuple(itertools.islice(iterator, self.chunk_size))
-            if not block:
-                return
-            yield ShardTask(mode="explicit", fault_sets=block, cap=cap)
-
-    def _random_shards(
-        self,
-        fault_size: int,
-        samples: int,
-        seed: int,
-        tag: str,
-        cap: Optional[float] = None,
-    ) -> Iterator[ShardTask]:
-        for shard_index, start in enumerate(range(0, samples, self.chunk_size)):
-            yield ShardTask(
-                mode="random",
-                fault_size=fault_size,
-                count=min(self.chunk_size, samples - start),
-                start=start,
-                seed=shard_seed(seed, tag, shard_index),
-                cap=cap,
-            )
-
-    def _exhaustive_shards(
-        self,
-        max_faults: int,
-        include_smaller: bool = True,
-        cap: Optional[float] = None,
-    ) -> Iterator[ShardTask]:
-        """Generative shards covering every fault set of size <= ``max_faults``.
-
-        Shard boundaries are deterministic :func:`itertools.combinations`
-        offsets over the ``repr``-sorted node pool — a pure function of the
-        graph, ``max_faults`` and ``chunk_size`` — so workers regenerate
-        their slice locally and the enumeration order matches
-        :func:`repro.faults.adversary.all_fault_sets` exactly.
-        """
-        n = self.graph.number_of_nodes()
-        sizes = range(0, max_faults + 1) if include_smaller else [max_faults]
-        for size in sizes:
-            total = math.comb(n, size)
-            for start in range(0, total, self.chunk_size):
-                yield ShardTask(
-                    mode="exhaustive",
-                    fault_size=size,
-                    start=start,
-                    count=min(self.chunk_size, total - start),
-                    cap=cap,
-                )
-
     def close(self) -> None:
         """Terminate the worker pool (no-op when none was started)."""
         if self._executor is not None:
@@ -621,12 +564,22 @@ class CampaignEngine:
         for _task, (_fingerprint, outcomes) in self._ensure_executor().run(shards):
             yield from outcomes
 
+    def _explicit(
+        self, fault_sets: Iterable[FaultSet], cap: Optional[float] = None
+    ) -> Iterator[ShardTask]:
+        """Plan a caller-supplied battery as ``"explicit"`` shards."""
+        from repro.scenarios.suite import plan_campaign
+
+        return plan_campaign(
+            "explicit", 0, self.chunk_size, cap, fault_sets=fault_sets
+        )
+
     # ------------------------------------------------------------------
     # Public evaluation surface
     # ------------------------------------------------------------------
     def evaluate(self, fault_sets: Iterable[FaultSet]) -> Iterator[Outcome]:
         """Yield ``(fault_set, surviving_diameter)`` in battery order."""
-        return self._evaluate_shards(self._explicit_shards(fault_sets))
+        return self._evaluate_shards(self._explicit(fault_sets))
 
     def worst_case(self, fault_sets: Iterable[FaultSet]) -> Tuple[float, Optional[FaultSet], int]:
         """Return ``(worst_diameter, worst_fault_set, evaluated_count)``.
@@ -688,65 +641,42 @@ class CampaignEngine:
         self, fault_sets: Iterable[FaultSet], bound: float
     ) -> Tuple[float, Optional[FaultSet], int, bool]:
         """Early-exit battery scan against ``bound`` (see :meth:`_bounded_scan`)."""
-        return self._bounded_scan(self._explicit_shards(fault_sets, cap=bound), bound)
+        return self._bounded_scan(self._explicit(fault_sets, cap=bound), bound)
 
     def exhaustive_worst_case(
         self, max_faults: int, bound: float, include_smaller: bool = True
     ) -> Tuple[float, Optional[FaultSet], int, bool]:
         """Early-exit exhaustive scan over all fault sets of size <= ``max_faults``.
 
-        The enumeration streams through the engine's generative shards
-        (deterministic :func:`itertools.combinations` offsets), so exhaustive
-        tolerance checks shard across the worker pool exactly like random
-        batteries do — no fault sets cross the process boundary on the way
-        in.
+        Each size is planned as an ``"exhaustive"`` campaign (see
+        :func:`repro.scenarios.suite.plan_campaign`): deterministic
+        :func:`itertools.combinations` offsets over the ``repr``-sorted node
+        pool, in the order of :func:`repro.faults.adversary.all_fault_sets`.
+        Workers regenerate their slice locally, so exhaustive tolerance
+        checks shard across the pool like random batteries do — no fault
+        sets cross the process boundary on the way in.  Sizes above the
+        node count have no fault sets and are skipped.
         """
-        return self._bounded_scan(
-            self._exhaustive_shards(
-                max_faults, include_smaller=include_smaller, cap=bound
-            ),
-            bound,
-        )
+        from repro.scenarios.suite import plan_campaign
 
-    def profile(self, fault_sets: Iterable[FaultSet]) -> List[Outcome]:
-        """Return ``(fault_set, surviving_diameter)`` rows for the battery."""
-        return list(self.evaluate(fault_sets))
+        n = self.graph.number_of_nodes()
+        first = 0 if include_smaller else max_faults
+        tasks = itertools.chain.from_iterable(
+            plan_campaign(
+                "exhaustive", size, self.chunk_size, bound, total=math.comb(n, size)
+            )
+            for size in range(first, min(max_faults, n) + 1)
+        )
+        return self._bounded_scan(tasks, bound)
 
     # ------------------------------------------------------------------
-    # Greedy adversarial search
+    # Campaigns
     # ------------------------------------------------------------------
-    def adversarial_worst_case(
-        self,
-        fault_size: int,
-        candidate_limit: int = 40,
-        seed: RandomLike = None,
-        batched: bool = True,
-    ) -> Tuple[float, FaultSet]:
-        """Greedy adversarial fault set of ``fault_size`` and its diameter.
-
-        Runs :func:`repro.faults.adversary.greedy_fault_set_from_index`
-        over the engine's pre-built index: each greedy round evaluates its
-        candidate batch through ``EvalCursor.batch_with_added`` with
-        incumbent-cap pruning (one packed BFS tensor per round on the numpy
-        backend).  Returns ``(surviving_diameter, fault_set)`` — a heuristic
-        lower bound on the true worst case at this size.
-        """
-        from repro.faults.adversary import greedy_fault_set_from_index
-
-        fault_set = greedy_fault_set_from_index(
-            self.index,
-            fault_size,
-            candidate_limit=candidate_limit,
-            seed=seed,
-            batched=batched,
-        )
-        return self.index.surviving_diameter(fault_set.nodes()), fault_set
-
     def run_campaign(
         self,
         fault_size: int,
         samples: int = 100,
-        seed: RandomLike = None,
+        seed: Optional[int] = None,
         fault_sets: Optional[Iterable[FaultSet]] = None,
         bound: Optional[float] = None,
         frame=None,
@@ -755,11 +685,12 @@ class CampaignEngine:
     ) -> CampaignRow:
         """Run one campaign at ``fault_size`` and aggregate the outcomes.
 
-        With an integer (or ``None``) seed the battery is generated with
-        per-shard seeding, so the result is independent of the worker count.
-        Passing a :class:`random.Random` instance falls back to drawing the
-        whole battery from that stream in the parent (sequential legacy
-        semantics); explicit ``fault_sets`` are evaluated as given.
+        The battery is planned and folded by the suite's
+        :func:`~repro.scenarios.suite.plan_campaign` and
+        :func:`~repro.scenarios.suite.fold_campaign`, with per-shard seeds
+        from ``seed`` (``None``: a fresh random seed), so the result is
+        independent of the worker count.  Explicit ``fault_sets`` are
+        evaluated as given.
 
         With ``bound`` given the campaign streams *decisions* instead of
         exact diameters: every fault set is evaluated with an eccentricity
@@ -770,9 +701,10 @@ class CampaignEngine:
         table needs.
 
         With ``greedy`` the battery additionally includes one greedy
-        adversarial fault set of ``fault_size`` (candidate rounds capped at
-        ``candidate_limit``, evaluated through the batched candidate layer;
-        deterministically seeded from the campaign seed), so the aggregate's
+        adversarial fault set of ``fault_size``, grown by a ``"greedy"``
+        task like the suite's (candidate rounds capped at
+        ``candidate_limit``; deterministically seeded from the campaign
+        seed), so the aggregate's
         worst-case columns reflect an adversarial probe and not just random
         sampling.  The tunables are stamped onto the result record
         (``backend`` always; ``candidate_limit`` when the greedy probe ran).
@@ -784,53 +716,35 @@ class CampaignEngine:
         A generated battery whose ``fault_size`` exceeds the node count is
         refused with a :class:`ValueError` before anything is evaluated.
         """
-        greedy_seed: RandomLike = seed
-        if fault_sets is not None:
-            shards = self._explicit_shards(fault_sets, cap=bound)
-        else:
+        from repro.scenarios.suite import fold_campaign, plan_campaign
+
+        probe = greedy and fault_size > 0
+        base = seed if seed is not None else _random.SystemRandom().getrandbits(64)
+        if fault_sets is None:
             check_fault_size(
                 self.graph.name or "graph", fault_size, self.graph.number_of_nodes()
             )
-            if isinstance(seed, _random.Random):
-                from repro.faults.adversary import random_fault_sets
-
-                shards = self._explicit_shards(
-                    random_fault_sets(
-                        self.graph.nodes(), fault_size, samples, seed=seed
-                    ),
-                    cap=bound,
-                )
-            else:
-                base = (
-                    seed
-                    if seed is not None
-                    else _random.SystemRandom().getrandbits(64)
-                )
-                shards = self._random_shards(
-                    fault_size, samples, base, tag=f"size={fault_size}", cap=bound
-                )
-                greedy_seed = shard_seed(base, f"greedy:size={fault_size}", 0)
-        run_greedy = greedy and fault_size > 0
-        if run_greedy:
-            from repro.faults.adversary import greedy_fault_set_from_index
-
-            greedy_set = greedy_fault_set_from_index(
-                self.index,
-                fault_size,
-                candidate_limit=candidate_limit,
-                seed=greedy_seed,
-            )
-            shards = itertools.chain(
-                shards, self._explicit_shards([greedy_set], cap=bound)
-            )
-        outcomes = self._evaluate_shards(shards)
-        if bound is not None:
-            result: CampaignRow = aggregate_decisions(fault_size, bound, outcomes)
-        else:
-            result = aggregate_outcomes(fault_size, outcomes)
-        result.bfs_strategy = BFS_STRATEGY
-        result.eval_backend = self.index.eval_backend
-        result.candidate_limit = candidate_limit if run_greedy else None
+        tasks = plan_campaign(
+            "random" if fault_sets is None else "explicit",
+            fault_size,
+            self.chunk_size,
+            bound,
+            total=samples,
+            seed=base,
+            tag=f"size={fault_size}",
+            fault_sets=fault_sets,
+            greedy_seed=(
+                shard_seed(base, f"greedy:size={fault_size}", 0) if probe else None
+            ),
+            candidate_limit=candidate_limit,
+        )
+        result = fold_campaign(
+            fault_size,
+            self._evaluate_shards(tasks),
+            bound,
+            self.index.eval_backend,
+            candidate_limit if probe else None,
+        )
         if frame is not None:
             frame.append(result.record())
         return result
@@ -839,7 +753,7 @@ class CampaignEngine:
         self,
         sizes: Sequence[int],
         samples: int = 50,
-        seed: RandomLike = None,
+        seed: Optional[int] = None,
         bound: Optional[float] = None,
         frame=None,
         greedy: bool = False,
@@ -847,27 +761,13 @@ class CampaignEngine:
     ) -> List[CampaignRow]:
         """Run one campaign per fault-set size and return the results in order.
 
-        Integer seeds are re-derived per size with :func:`shard_seed`, so
-        each size's battery is independent of the others (and of the worker
-        count); a shared :class:`random.Random` instance is threaded through
-        sequentially as before.  ``bound`` selects the streaming-decision
+        The seed is re-derived per size with :func:`shard_seed`, so each
+        size's battery is independent of the others (and of the worker
+        count).  ``bound`` selects the streaming-decision
         path per campaign, and ``greedy``/``candidate_limit`` add a greedy
         adversarial probe per size (see :meth:`run_campaign`); ``frame``
         collects one unified record per campaign.
         """
-        if isinstance(seed, _random.Random):
-            return [
-                self.run_campaign(
-                    size,
-                    samples=samples,
-                    seed=seed,
-                    bound=bound,
-                    frame=frame,
-                    greedy=greedy,
-                    candidate_limit=candidate_limit,
-                )
-                for size in sizes
-            ]
         base = seed if seed is not None else _random.SystemRandom().getrandbits(64)
         # The position enters the derivation so that a repeated size draws an
         # independent battery (doubling a size doubles the information).

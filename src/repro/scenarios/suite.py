@@ -35,6 +35,15 @@ count and any ``PYTHONHASHSEED``:
    genuine determinism check that fails loudly instead of silently skewing
    rows.
 
+This module also holds the one campaign planner and the one fold, shared
+with :class:`~repro.faults.engine.CampaignEngine`:
+:func:`plan_campaign` cuts a campaign's battery into shard tasks (plus a
+trailing ``"greedy"`` task when the battery carries a greedy probe) and
+refuses batteries that cannot be planned, and :func:`fold_campaign`
+aggregates a campaign's outcomes into its row and stamps its provenance
+columns.  Both front ends therefore shard, probe and aggregate the same way;
+only their seed tags differ, and those stay with each caller.
+
 With ``bound`` given the suite runs *bounded-decision* campaigns: fault sets
 are evaluated with an eccentricity cap (``surviving_diameter_at_most``
 semantics) and rows report pass/fail statistics instead of exact diameters
@@ -50,10 +59,12 @@ campaigns.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from typing import (
     Dict,
     Iterable,
+    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -73,6 +84,7 @@ from repro.faults.engine import (
     shard_seed,
     workload_key,
 )
+from repro.faults.models import FaultSet
 from repro.faults.simulation import (
     BFS_STRATEGY,
     CampaignResult,
@@ -236,6 +248,111 @@ def _campaign_plans(
     ]
 
 
+def check_battery(
+    chunk_size: int,
+    samples: Optional[int] = None,
+    candidate_limit: Optional[int] = None,
+) -> None:
+    """Refuse a battery no campaign can be planned with (``None``: unchecked)."""
+    for name, value in (
+        ("samples", samples),
+        ("chunk_size", chunk_size),
+        ("candidate_limit", candidate_limit),
+    ):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1")
+
+
+def plan_campaign(
+    mode: str,
+    fault_size: int,
+    chunk_size: int,
+    cap: Optional[float] = None,
+    *,
+    p: float = 0.0,
+    total: int = 0,
+    seed: int = 0,
+    tag: str = "",
+    fault_sets: Optional[Iterable[FaultSet]] = None,
+    greedy_seed: Optional[int] = None,
+    candidate_limit: int = 40,
+    **workload,
+) -> Iterator[ShardTask]:
+    """Plan one campaign's battery as shard tasks, in battery order.
+
+    The one battery planner of the suite and of
+    :class:`~repro.faults.engine.CampaignEngine`.  A generated battery
+    (``"random"``, ``"random-p"``, ``"exhaustive"``) of ``total`` fault sets
+    is cut into ``chunk_size`` slices, slice ``i`` seeded by
+    ``shard_seed(seed, tag, i)``; an ``"explicit"`` battery chunks
+    ``fault_sets`` lazily.  A ``greedy_seed`` appends one ``"greedy"`` task
+    that grows an adversarial set of ``fault_size`` with
+    ``candidate_limit`` candidates per round.  It comes last so that a
+    campaign's tasks stay contiguous for the fold, and its ``start=total``
+    keeps its chaos label apart from the slices'.  Every task carries the cap ``cap``
+    and the ``workload`` fields (``spec``, ``campaign_key``, ``backend``).
+    What :func:`check_battery` refuses raises before any task is planned.
+    """
+    check_battery(
+        chunk_size,
+        None if mode == "explicit" else total,
+        candidate_limit if greedy_seed is not None else None,
+    )
+    common = dict(fault_size=fault_size, cap=cap, **workload)
+    if mode == "explicit":
+        battery = iter(fault_sets)
+        blocks = iter(lambda: tuple(itertools.islice(battery, chunk_size)), ())
+        tasks: Iterable[ShardTask] = (
+            ShardTask(mode=mode, fault_sets=block, **common) for block in blocks
+        )
+    else:
+        tasks = [
+            ShardTask(
+                mode=mode,
+                p=p,
+                count=min(chunk_size, total - start),
+                start=start,
+                seed=shard_seed(seed, tag, shard_index),
+                **common,
+            )
+            for shard_index, start in enumerate(range(0, total, chunk_size))
+        ]
+    if greedy_seed is None:
+        return iter(tasks)
+    probe = ShardTask(
+        mode="greedy",
+        count=1,
+        start=total,
+        seed=greedy_seed,
+        candidate_limit=candidate_limit,
+        **common,
+    )
+    return itertools.chain(tasks, [probe])
+
+
+def fold_campaign(
+    fault_size: int,
+    outcomes: Iterable[Tuple[FaultSet, float]],
+    bound: Optional[float],
+    backend: Optional[str],
+    candidate_limit: Optional[int] = None,
+) -> CampaignRow:
+    """Aggregate one campaign's outcomes into its row (a decision row when
+    ``bound`` is given) and stamp its provenance columns: the BFS strategy,
+    the eval ``backend`` and its greedy probe's ``candidate_limit``.
+    """
+    # Called through this module's names, so wrappers installed on
+    # ``repro.scenarios.suite.aggregate_*`` see every campaign's fold.
+    if bound is not None:
+        campaign: CampaignRow = aggregate_decisions(fault_size, bound, outcomes)
+    else:
+        campaign = aggregate_outcomes(fault_size, outcomes)
+    campaign.bfs_strategy = BFS_STRATEGY
+    campaign.eval_backend = backend
+    campaign.candidate_limit = candidate_limit
+    return campaign
+
+
 def _expand_tasks(
     scenarios: Sequence[Scenario],
     samples: int,
@@ -248,7 +365,7 @@ def _expand_tasks(
     backend: Optional[str] = None,
     greedy: bool = False,
     candidate_limit: int = 40,
-) -> Tuple[List[ShardTask], List[Tuple[Tuple[int, int], int]]]:
+) -> Tuple[List[ShardTask], Dict[Tuple[int, int], Tuple[int, Optional[int]]]]:
     """Flatten the suite into shard tasks plus per-campaign metadata.
 
     ``backend`` optionally carries the parent-resolved eval backend; it is
@@ -263,8 +380,9 @@ def _expand_tasks(
     campaign's identity tag (its seed never depends on suite position), so
     greedy-augmented rows stay byte-identical across splits and resumes.
 
-    Returns ``(tasks, campaigns)`` where ``campaigns[j] = (campaign_key,
-    fault_size)`` in row order.  Task seeds hash the campaign's *identity*
+    Returns ``(tasks, campaigns)`` where ``campaigns`` maps each campaign
+    key, in row order, to ``(fault_size, candidate_limit)`` (``None``
+    without a greedy probe).  Task seeds hash the campaign's *identity*
     — the canonical scenario string, its occurrence number (repeats of one
     spec in a suite) and the plan index — never the scenario's position in
     the suite.  Repeated scenarios and repeated fault sizes still draw
@@ -287,7 +405,7 @@ def _expand_tasks(
     dropped = set(drop)
     occurrences: Dict[str, int] = {}
     tasks: List[ShardTask] = []
-    campaigns: List[Tuple[Tuple[int, int], int]] = []
+    campaigns: Dict[Tuple[int, int], Tuple[int, Optional[int]]] = {}
     for scenario_index, scenario in enumerate(scenarios):
         spec = scenario.canonical()
         occurrence = occurrences.get(spec, 0)
@@ -299,47 +417,35 @@ def _expand_tasks(
             _campaign_plans(scenario, samples, node_count)
         ):
             campaign_key = (scenario_index, plan_index)
-            campaigns.append((campaign_key, fault_size))
+            probe = greedy and mode == "random" and fault_size > 0
+            campaigns[campaign_key] = (
+                fault_size,
+                candidate_limit if probe else None,
+            )
             if campaign_key in skipped:
                 continue
             tag = (
                 f"{spec}@{occurrence}#{plan_index}|{mode}|size={fault_size}"
             )
-            for shard_index, start in enumerate(range(0, total, chunk_size)):
-                count = min(chunk_size, total - start)
-                tasks.append(
-                    ShardTask(
-                        spec=spec,
-                        campaign_key=campaign_key,
-                        mode=mode,
-                        fault_size=fault_size,
-                        p=p,
-                        count=count,
-                        start=start,
-                        seed=shard_seed(seed, tag, shard_index),
-                        cap=bound,
-                        backend=backend,
-                    )
+            tasks.extend(
+                plan_campaign(
+                    mode,
+                    fault_size,
+                    chunk_size,
+                    bound,
+                    p=p,
+                    total=total,
+                    seed=seed,
+                    tag=tag,
+                    greedy_seed=(
+                        shard_seed(seed, tag + "|greedy", 0) if probe else None
+                    ),
+                    candidate_limit=candidate_limit,
+                    spec=spec,
+                    campaign_key=campaign_key,
+                    backend=backend,
                 )
-            if greedy and mode == "random" and fault_size > 0:
-                # The greedy probe folds into the same campaign row, so it
-                # must stay contiguous with the campaign's random shards.
-                # ``start=total`` keeps its chaos/task tag distinct from
-                # every random shard of the campaign.
-                tasks.append(
-                    ShardTask(
-                        spec=spec,
-                        campaign_key=campaign_key,
-                        mode="greedy",
-                        fault_size=fault_size,
-                        count=1,
-                        start=total,
-                        seed=shard_seed(seed, tag + "|greedy", 0),
-                        cap=bound,
-                        backend=backend,
-                        candidate_limit=candidate_limit,
-                    )
-                )
+            )
     return tasks, campaigns
 
 
@@ -397,7 +503,12 @@ def suite_manifest(
     fault set into every sizes-model row — resuming a non-greedy store
     under ``greedy`` (or with a different candidate budget) would change
     rows already recorded.
+
+    Battery parameters no campaign can be planned with are refused here
+    (see :func:`check_battery`), before a store is created from the
+    manifest.
     """
+    check_battery(chunk_size, samples, candidate_limit if greedy else None)
     return {
         "experiment": "scenario-suite",
         "scenarios": [s.canonical() for s in as_scenarios(scenarios)],
@@ -540,9 +651,11 @@ def run_scenario_suite(
     Raises
     ------
     ValueError
-        If a scenario's fault model asks for more faults than its graph has
-        nodes, or its graph axis is malformed; raised while planning, before
-        any task is dispatched or campaign row stored.
+        If ``samples`` or ``chunk_size`` is below one (or, with ``greedy``,
+        ``candidate_limit`` is), if a scenario's fault model asks for more
+        faults than its graph has nodes, or if its graph axis is malformed;
+        raised while planning, before any task is dispatched or campaign
+        row stored.
     RuntimeError
         If a worker's routing fingerprint disagrees with its scenario's
         build (with ``share_index=False``: the construction pipeline went
@@ -551,8 +664,7 @@ def run_scenario_suite(
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    check_battery(chunk_size, samples, candidate_limit if greedy else None)
     scenario_list = as_scenarios(scenarios)
     if not scenario_list:
         return []
@@ -773,7 +885,6 @@ def run_scenario_suite(
             greedy=greedy,
             candidate_limit=candidate_limit,
         )
-        fault_sizes = dict(campaigns)
 
         # Fold the streamed outcomes per campaign in deterministic task
         # order.  Tasks of one campaign are contiguous, so a campaign is
@@ -785,6 +896,7 @@ def run_scenario_suite(
 
         def _finalise(campaign_key: Tuple[int, int], outcomes: List) -> None:
             scenario, result = built[campaign_key[0]]
+            fault_size, probe_limit = campaigns[campaign_key]
             # A quarantined campaign is checked first: its collected
             # outcomes (if any shards did finish) are partial and must not
             # feed an aggregate.  The row still carries the real
@@ -794,26 +906,12 @@ def run_scenario_suite(
                 campaign: CampaignRow = CampaignStatus(
                     disposition="failed",
                     reason=failed_reasons[campaign_key],
-                    fault_size=fault_sizes[campaign_key],
-                )
-            elif bound is not None:
-                campaign = aggregate_decisions(
-                    fault_sizes[campaign_key], bound, outcomes
+                    fault_size=fault_size,
                 )
             else:
-                campaign = aggregate_outcomes(fault_sizes[campaign_key], outcomes)
-            if campaign_key not in failed_reasons:
-                campaign.bfs_strategy = BFS_STRATEGY
-                # Provenance columns: the parent-resolved eval backend, and
-                # the greedy candidate budget when this row's battery
-                # carried an adversarial probe.
-                campaign.eval_backend = resolved_backend
-                if (
-                    greedy
-                    and scenario.faults.kind == "sizes"
-                    and fault_sizes[campaign_key] > 0
-                ):
-                    campaign.candidate_limit = candidate_limit
+                campaign = fold_campaign(
+                    fault_size, outcomes, bound, resolved_backend, probe_limit
+                )
             row = ScenarioRow(
                 scenario=scenario.canonical(),
                 scheme=result.scheme,
@@ -861,7 +959,7 @@ def run_scenario_suite(
     # Assemble the rows in campaign order: stored rows for completed
     # campaigns, freshly computed rows for the rest.
     rows: List[ScenarioRow] = []
-    for campaign_key, _fault_size in campaigns:
+    for campaign_key in campaigns:
         if campaign_key in completed:
             rows.append(
                 ScenarioRow.from_record(

@@ -6,7 +6,7 @@ evaluate the battery, because sharding and per-shard seeding depend only on
 the battery and chunk size — never on the pool.
 """
 
-import random as _random
+import math
 
 import pytest
 
@@ -18,6 +18,7 @@ from repro.faults import (
     shard_seed,
 )
 from repro.graphs import generators
+from repro.scenarios.suite import plan_campaign
 
 
 @pytest.fixture(scope="module")
@@ -108,23 +109,26 @@ class TestEngineDeterminism:
         assert result.samples == 5
         engine.close()
 
-    def test_random_instance_seed_keeps_legacy_stream(self, workload):
-        graph, routing = workload
-        engine = CampaignEngine(graph, routing)
-        first = engine.run_campaign(2, samples=10, seed=_random.Random(4))
-        second = engine.run_campaign(2, samples=10, seed=_random.Random(4))
-        assert first == second
+
+def _exhaustive_plan(graph, max_faults, chunk_size):
+    n = graph.number_of_nodes()
+    return [
+        shard
+        for size in range(max_faults + 1)
+        for shard in plan_campaign(
+            "exhaustive", size, chunk_size, total=math.comb(n, size)
+        )
+    ]
 
 
 class TestExhaustiveShards:
     def test_shards_reproduce_all_fault_sets_order(self, workload):
         from repro.faults import all_fault_sets
 
-        graph, routing = workload
-        engine = CampaignEngine(graph, routing, chunk_size=7)
+        graph, _routing = workload
         sharded = [
             fault_set.nodes()
-            for shard in engine._exhaustive_shards(2)
+            for shard in _exhaustive_plan(graph, 2, 7)
             for fault_set in shard.materialise(graph)
         ]
         reference = [fs.nodes() for fs in all_fault_sets(graph.nodes(), 2)]
@@ -144,15 +148,14 @@ class TestExhaustiveShards:
                     assert list(_combinations_slice(pool, size, start, count)) == expected
 
     def test_shard_boundaries_deterministic(self, workload):
-        graph, routing = workload
-        engine = CampaignEngine(graph, routing, chunk_size=5)
+        graph, _routing = workload
         first = [
             (shard.mode, shard.fault_size, shard.start, shard.count)
-            for shard in engine._exhaustive_shards(2)
+            for shard in _exhaustive_plan(graph, 2, 5)
         ]
         second = [
             (shard.mode, shard.fault_size, shard.start, shard.count)
-            for shard in engine._exhaustive_shards(2)
+            for shard in _exhaustive_plan(graph, 2, 5)
         ]
         assert first == second
         assert all(mode == "exhaustive" for mode, _, _, _ in first)
@@ -338,10 +341,10 @@ class TestEngineSemantics:
         engine.run_campaign(1, samples=5, seed=0)
         assert engine.index is index
 
-    def test_profile_preserves_battery_order(self, workload):
+    def test_evaluate_preserves_battery_order(self, workload):
         graph, routing = workload
         battery = [FaultSet({0}), FaultSet({1}), FaultSet({2})]
-        profile = CampaignEngine(graph, routing).profile(battery)
+        profile = list(CampaignEngine(graph, routing).evaluate(battery))
         assert [fault_set.nodes() for fault_set, _ in profile] == [
             frozenset({0}),
             frozenset({1}),
@@ -351,12 +354,47 @@ class TestEngineSemantics:
 
 
 class TestGreedyAugmentation:
-    def test_adversarial_worst_case_returns_exact_diameter(self, workload):
+    def test_greedy_probe_is_planned_as_a_trailing_pool_task(self, workload):
         graph, routing = workload
-        engine = CampaignEngine(graph, routing)
-        diameter, fault_set = engine.adversarial_worst_case(2, seed=0)
+        engine = CampaignEngine(graph, routing, chunk_size=4)
+        tasks = list(
+            plan_campaign(
+                "random",
+                2,
+                4,
+                total=10,
+                seed=6,
+                tag="size=2",
+                greedy_seed=shard_seed(6, "greedy:size=2", 0),
+                candidate_limit=7,
+            )
+        )
+        assert [task.mode for task in tasks] == ["random"] * 3 + ["greedy"]
+        outcomes = list(engine._evaluate_shards(tasks))
+        assert len(outcomes) == 11
+        fault_set, diameter = outcomes[-1]
+        assert fault_set.description == "greedy adversarial"
         assert len(fault_set) == 2
         assert diameter == engine.index.surviving_diameter(fault_set.nodes())
+
+    def test_pooled_greedy_probe_is_grown_by_a_worker(self, workload, monkeypatch):
+        from repro.faults import adversary
+
+        graph, routing = workload
+        expected = CampaignEngine(graph, routing).run_campaign(
+            2, samples=6, seed=3, greedy=True
+        )
+        with CampaignEngine(graph, routing, workers=2) as engine:
+            engine.run_campaign(1, samples=2, seed=0)  # start the pool
+            # Workers forked above keep the real search; the parent must
+            # never grow a greedy set itself.
+            monkeypatch.setattr(
+                adversary,
+                "greedy_fault_set_from_index",
+                lambda *args, **kwargs: pytest.fail("greedy grown in the parent"),
+            )
+            pooled = engine.run_campaign(2, samples=6, seed=3, greedy=True)
+        assert pooled == expected
 
     def test_greedy_campaign_adds_one_battery_member(self, workload):
         graph, routing = workload

@@ -346,6 +346,24 @@ class TestQuarantine:
         assert [row.record() for row in resumed] == first_records
         assert path.read_bytes() == first_bytes
 
+    @pytest.mark.parametrize("bound", [[], ["--bound", "3"]])
+    def test_scenario_campaign_reports_failed_rows(self, tmp_path, bound):
+        # `repro campaign --scenario` reports quarantined rows and fails
+        # the run exactly like `repro grid`, with or without a bound.
+        result = _cli(
+            tmp_path,
+            "campaign", "--scenario", "hypercube:d=3/kernel/sizes:1",
+            "--samples", "4", *bound,
+            chaos="task:fail:hypercube",
+        )
+        assert result.returncode == 1, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "failed" in result.stdout
+        assert (
+            "campaign failed (quarantined): hypercube:d=3/kernel/sizes:1 "
+            "at |F|=1 — ChaosError: injected failure"
+        ) in result.stdout
+
     def test_strict_restores_fail_fast(self, tmp_path, monkeypatch):
         from repro.runtime import TaskFailedError
 

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.faults.simulation import CampaignResult, DecisionCampaignResult
-from repro.scenarios import parse_scenario, run_scenario_suite
+from repro.scenarios import parse_scenario, run_scenario_suite, suite_manifest
 
 #: Small, fast-to-build scenarios used across the suite tests.
 SMALL_SCENARIOS = [
@@ -136,6 +136,84 @@ class TestWorkerIndependence:
         sequential = _rows(SMALL_SCENARIOS, samples=10, seed=11)
         parallel = _rows(SMALL_SCENARIOS, samples=10, seed=11, workers=4)
         assert sequential == parallel
+
+
+class TestCampaignPlan:
+    def test_slices_then_trailing_greedy_probe(self):
+        from repro.faults import shard_seed
+        from repro.scenarios.suite import plan_campaign
+
+        tasks = list(
+            plan_campaign(
+                "random", 2, 4, 3.0, total=10, seed=5, tag="t",
+                greedy_seed=99, candidate_limit=6, spec="s", backend="b",
+            )
+        )
+        assert [(t.mode, t.start, t.count) for t in tasks] == [
+            ("random", 0, 4), ("random", 4, 4), ("random", 8, 2),
+            ("greedy", 10, 1),
+        ]
+        assert [t.seed for t in tasks] == [
+            shard_seed(5, "t", 0), shard_seed(5, "t", 1), shard_seed(5, "t", 2),
+            99,
+        ]
+        assert {(t.cap, t.spec, t.backend, t.fault_size) for t in tasks} == {
+            (3.0, "s", "b", 2)
+        }
+        assert tasks[-1].candidate_limit == 6
+
+    def test_explicit_battery_chunks_lazily(self):
+        from repro.faults import FaultSet
+        from repro.scenarios.suite import plan_campaign
+
+        battery = (FaultSet({node}) for node in range(5))
+        tasks = list(plan_campaign("explicit", 1, 2, fault_sets=battery))
+        assert [len(task.fault_sets) for task in tasks] == [2, 2, 1]
+
+    @pytest.mark.parametrize(
+        "chunk_size, kwargs, message",
+        [
+            (0, dict(total=5), "chunk_size must be at least 1"),
+            (-3, dict(total=5), "chunk_size must be at least 1"),
+            (4, dict(total=0), "samples must be at least 1"),
+            (
+                4,
+                dict(total=5, greedy_seed=1, candidate_limit=0),
+                "candidate_limit must be at least 1",
+            ),
+            (
+                4,
+                dict(total=5, greedy_seed=1, candidate_limit=-1),
+                "candidate_limit must be at least 1",
+            ),
+        ],
+    )
+    def test_rejects_unplannable_batteries(self, chunk_size, kwargs, message):
+        from repro.scenarios.suite import plan_campaign
+
+        with pytest.raises(ValueError, match=message):
+            plan_campaign("random", 2, chunk_size, **kwargs)
+
+    def test_budget_unchecked_without_a_probe(self):
+        from repro.scenarios.suite import plan_campaign
+
+        tasks = list(plan_campaign("random", 2, 4, total=5, candidate_limit=0))
+        assert [task.mode for task in tasks] == ["random", "random"]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(chunk_size=0),
+            dict(samples=0),
+            dict(greedy=True, candidate_limit=0),
+        ],
+    )
+    def test_suite_rejects_unplannable_batteries(self, kwargs):
+        params = {"samples": 4, "seed": 0, **kwargs}
+        with pytest.raises(ValueError, match="must be at least 1"):
+            suite_manifest(["hypercube:d=3/kernel/sizes:1"], **params)
+        with pytest.raises(ValueError, match="must be at least 1"):
+            run_scenario_suite(["hypercube:d=3/kernel/sizes:1"], **params)
 
 
 class TestSuiteSeedIndependence:

@@ -191,6 +191,23 @@ class TestScenarioCampaignFlags:
         assert "hypercube:d=3/kernel/sizes:1" in output
         assert "fingerprint" in output
 
+    @pytest.mark.parametrize("limit", ["0", "-2"])
+    @pytest.mark.parametrize(
+        "target",
+        [
+            ["--graph", "circulant:12,1,2", "--sizes", "2"],
+            ["--scenario", "circulant:n=12,offsets=1+2/kernel/sizes:2"],
+        ],
+    )
+    def test_greedy_rejects_candidate_limit_below_one(
+        self, capsys, target, limit
+    ):
+        argv = ["campaign", *target, "--samples", "5", "--greedy"]
+        assert main(argv + ["--candidate-limit", limit]) == 2
+        captured = capsys.readouterr()
+        assert "error: candidate_limit must be at least 1" in captured.err
+        assert "faults" not in captured.out  # no campaign table
+
     def test_scenarios_command(self, capsys):
         assert main(["scenarios"]) == 0
         output = capsys.readouterr().out
@@ -272,6 +289,27 @@ class TestGridCommand:
             # Only the run manifest was written: no campaign row landed.
             assert len(store.read_text().splitlines()) == 1
             store.unlink()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--chunk-size", "0"], "chunk_size must be at least 1"),
+            (["--chunk-size", "-3"], "chunk_size must be at least 1"),
+            (["--samples", "0"], "samples must be at least 1"),
+            (
+                ["--greedy", "--candidate-limit", "0"],
+                "candidate_limit must be at least 1",
+            ),
+        ],
+    )
+    def test_grid_rejects_bad_battery_before_creating_store(
+        self, tmp_path, capsys, flags, message
+    ):
+        store = tmp_path / "rows.jsonl"
+        argv = ["grid", "hypercube:d=3/kernel/sizes:1", "--samples", "2"]
+        assert main(argv + flags + ["--store", str(store)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not store.exists()
 
     def test_grid_resume_requires_store(self, capsys):
         assert main(["grid", "hypercube:d=3/kernel/sizes:1", "--resume"]) == 2
