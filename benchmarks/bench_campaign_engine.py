@@ -11,8 +11,9 @@ For each graph family the same fault battery is evaluated four ways:
   per handful of vectorised calls through the
   :meth:`RouteIndex.surviving_diameters` batch API (column omitted when
   numpy is not installed);
-* **parallel** — the engine sharding the battery over a process pool, with
-  the pre-built index shipped to the workers.
+* **parallel** — the shard executor sharding the battery over a process
+  pool (:func:`repro.faults.engine.evaluate_on_index`), with the index
+  built in the parent and shipped to the workers.
 
 All paths must produce identical outcomes (asserted).  Three further
 measurements ride along:
@@ -21,9 +22,8 @@ measurements ride along:
   (:meth:`RouteIndex.cursor` / ``with_added``) against a faithful replica of
   the PR-1 greedy loop that re-evaluates every candidate from scratch
   through the bitset kernel (reported, not gated);
-* **worker serialization** — pickling the pre-built index (what the engine
-  now ships to its pool) versus pickling the raw routing and rebuilding the
-  index per worker (what PR 1 did);
+* **worker serialization** — pickling the pre-built index versus pickling
+  the raw routing and rebuilding the index per worker (what PR 1 did);
 * **2000-node hub battery** (full mode, numpy installed) — a directly-built
   hub-and-spoke routing far above what the paper constructions reach,
   checking the numpy backend stays correct and fast at scale.
@@ -70,10 +70,12 @@ from repro.core import (
 )
 from repro.core.np_kernel import numpy_available
 from repro.core.routing import Routing
-from repro.faults import CampaignEngine, greedy_adversarial_fault_set, random_fault_sets
+from repro.faults import greedy_adversarial_fault_set, random_fault_sets
 from repro.faults.adversary import greedy_fault_set_from_index
+from repro.faults.engine import DEFAULT_CHUNK_SIZE, evaluate_on_index
 from repro.graphs import generators
 from repro.graphs.graph import Graph
+from repro.scenarios.suite import plan_campaign
 
 #: Acceptance thresholds on the 200-node target workloads.
 TARGET_NUMPY_SPEEDUP = 3.0    # numpy batch vs bitset on the *dense* battery
@@ -326,6 +328,11 @@ def _bench_serialization(graph, routing, index):
     }
 
 
+def _shards(battery):
+    """Plan ``battery`` as the explicit shard tasks the executor evaluates."""
+    return plan_campaign("explicit", 0, DEFAULT_CHUNK_SIZE, fault_sets=battery)
+
+
 def run(quick: bool, workers: int, json_path: str) -> int:
     rows: List[dict] = []
     json_workloads: List[dict] = []
@@ -351,9 +358,8 @@ def run(quick: bool, workers: int, json_path: str) -> int:
 
         # The bitset structures are built in the constructor, untimed.
         index = RouteIndex(graph, result.routing, backend="bitset")
-        engine = CampaignEngine(graph, result.routing, workers=1, index=index)
         start = time.perf_counter()
-        bitset = [diam for _, diam in engine.evaluate(battery)]
+        bitset = [diam for _, diam in evaluate_on_index(index, _shards(battery))]
         bitset_seconds = time.perf_counter() - start
 
         numpy_seconds = None
@@ -385,13 +391,15 @@ def run(quick: bool, workers: int, json_path: str) -> int:
                 )
             assert numpy_values == bitset, f"numpy backend diverged on {name}"
 
-        pool_engine = CampaignEngine(graph, result.routing, workers=workers)
         start = time.perf_counter()
-        parallel = [diam for _, diam in pool_engine.evaluate(battery)]
+        pool_index = RouteIndex(graph, result.routing)
+        parallel = [
+            diam
+            for _, diam in evaluate_on_index(pool_index, _shards(battery), workers)
+        ]
         parallel_seconds = time.perf_counter() - start
-        pool_engine.close()
 
-        assert naive == bitset == parallel, f"engine outcomes diverged on {name}"
+        assert naive == bitset == parallel, f"executor outcomes diverged on {name}"
         vs_naive = naive_seconds / bitset_seconds if bitset_seconds else float("inf")
         if is_target:
             target_entry = (name, graph, result, index)
@@ -441,7 +449,7 @@ def run(quick: bool, workers: int, json_path: str) -> int:
         format_table(
             rows,
             caption=(
-                "Campaign engine throughput: naive vs bitset vs numpy vs "
+                "Evaluation throughput: naive vs bitset vs numpy vs "
                 "parallel"
             ),
         )

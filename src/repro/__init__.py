@@ -21,11 +21,11 @@ The package is organised as follows:
   :class:`~repro.core.route_index.EvalCursor` snapshots for prefix-sharing
   fault-set searches;
 * :mod:`repro.faults`   — fault models, adversarial fault-set search,
-  Monte-Carlo fault-injection campaigns, and
-  :class:`~repro.faults.engine.CampaignEngine`, the indexed campaign runner
-  that shards fault batteries across a ``multiprocessing`` pool with
-  deterministic per-shard seeding (same seed => same rows for any worker
-  count) and streaming, bounded-memory aggregation;
+  campaign result views and aggregation, and
+  :class:`~repro.faults.engine.ShardExecutor`, which evaluates fault
+  batteries across a supervised ``multiprocessing`` pool with deterministic
+  per-shard seeding (same seed => same rows for any worker count) and
+  streams outcomes back in order for bounded-memory aggregation;
 * :mod:`repro.network`  — a small discrete-event message-passing simulator
   that runs the routings as a real network would (fixed source routes,
   endpoint services, route-counter broadcast for table recomputation);
@@ -53,13 +53,15 @@ Quickstart::
     print(result.describe())
     print(surviving_diameter(graph, result.routing, faults={0, 3, 5}))
 
-Campaigns at scale go through the engine (``repro campaign`` on the command
-line)::
+Campaigns at scale run as scenarios through the suite (``repro campaign``
+on the command line)::
 
-    from repro import CampaignEngine
+    from repro import run_scenario_suite
 
-    engine = CampaignEngine(graph, result.routing, workers=4)
-    for row in engine.sweep_fault_sizes([1, 2, 3], samples=200, seed=0):
+    rows = run_scenario_suite(
+        ["hypercube:d=4/kernel/sizes:1,2,3"], samples=200, seed=0, workers=4
+    )
+    for row in rows:
         print(row.as_row())
 """
 
@@ -87,7 +89,7 @@ from repro.core import (
     verify_construction,
 )
 from repro.graphs import Graph, DiGraph
-from repro.faults import CampaignEngine, CampaignResult, DecisionCampaignResult, FaultSet
+from repro.faults import CampaignResult, DecisionCampaignResult, FaultSet
 from repro.results import ResultFrame, ResultStore, result_frame
 from repro.scenarios import (
     Scenario,
@@ -123,7 +125,6 @@ __all__ = [
     "verify_construction",
     "Graph",
     "DiGraph",
-    "CampaignEngine",
     "CampaignResult",
     "DecisionCampaignResult",
     "FaultSet",

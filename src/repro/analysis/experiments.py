@@ -90,9 +90,9 @@ class ExperimentRecord:
 class ExperimentRunner:
     """Run "construct + attack + compare" experiments and collect records.
 
-    Fault batteries are evaluated through the indexed campaign engine; set
-    ``workers > 1`` to shard each battery across a process pool (results are
-    identical for any worker count).
+    Fault batteries are evaluated by the tolerance scans on the shard
+    executor; set ``workers > 1`` to shard each battery across a process
+    pool (results are identical for any worker count).
     """
 
     def __init__(

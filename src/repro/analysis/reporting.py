@@ -239,7 +239,7 @@ def scaling_table(frame) -> Tuple[List[Dict[str, object]], List[str], str]:
         # Re-key the strategy column to the effective strategy so the pivot
         # groups auto-resolved schemes with explicitly requested ones.  Only
         # the pivot's own columns are copied — not the full record — and
-        # rows carrying no strategy at all (bare engine campaigns) group
+        # rows carrying no strategy at all (bare campaign records) group
         # under "unspecified" rather than a literal None label.
         names = set(frame.column_names)
         needed = [

@@ -19,14 +19,13 @@ driven without writing Python:
   and p99 latency, drop rate and the deepest link queue; several specs
   compare strategies under the identical load, and ``--store`` persists
   one ``kind="traffic"`` row per spec for ``repro report``;
-* ``python -m repro campaign --graph circulant:24,1,2 --sizes 1,2,3 --samples 100``
-  runs indexed Monte-Carlo fault campaigns (one per fault-set size) through
-  the :class:`~repro.faults.engine.CampaignEngine`, optionally sharded over
-  ``--workers`` processes (same seed => same rows for any worker count);
 * ``python -m repro campaign --scenario hypercube:d=4/kernel/sizes:1,2,3 --bound 4``
-  runs whole scenario suites — ``--scenario`` may repeat, each spec names a
-  graph family + strategy + fault model, and ``--bound`` streams pass/fail
-  decisions instead of exact diameters;
+  runs indexed Monte-Carlo fault campaigns through the scenario suite —
+  ``--scenario`` may repeat, each spec names a graph family + strategy +
+  fault model, ``--bound`` streams pass/fail decisions instead of exact
+  diameters, and ``--workers`` shards the work over processes (same seed =>
+  same rows for any worker count).  ``--graph G --strategy S --t T --sizes
+  X`` is another spelling of the one-point scenario ``G/S/t=T/sizes:X``;
 * ``python -m repro grid "hypercube:d=3..5/kernel/t=1..2/sizes:1-3" \
   --store results.jsonl`` expands a scenario *grid* (``lo..hi`` ranges over
   integer graph parameters and ``t``) into a suite, persists one JSONL
@@ -75,8 +74,11 @@ from repro.core import build_routing, verify_construction
 from repro.core.statistics import concentrator_load_share, routing_statistics
 from repro.core.builder import available_strategies
 from repro.exceptions import ReproError
-from repro.faults import CampaignEngine
-from repro.faults.simulation import CampaignStatus
+from repro.faults.simulation import (
+    CampaignResult,
+    CampaignStatus,
+    DecisionCampaignResult,
+)
 from repro.graphs.graph import Graph
 from repro.graphs.registry import GRAPH_FAMILIES, parse_graph_spec
 from repro.network import (
@@ -101,6 +103,8 @@ from repro.results import (
 from repro.runtime import SupervisorPolicy
 from repro.scenarios import (
     FAULT_KINDS,
+    FaultModel,
+    Scenario,
     parse_grid,
     parse_scenario,
     run_scenario_suite,
@@ -292,75 +296,53 @@ def _parse_sizes(text: str) -> List[int]:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    if args.scenario:
-        if args.graph:
+    if args.graph:
+        if args.scenario:
             raise ValueError("--scenario and --graph are mutually exclusive")
-        # Scenario specs carry their own strategy / t / fault model; refuse
-        # the --graph-mode flags instead of silently ignoring them.
-        if args.strategy != "auto":
-            raise ValueError(
-                "--strategy has no effect with --scenario; put the strategy "
-                "in the spec, e.g. hypercube:d=4/kernel"
+        # `--graph G --strategy S --t T --sizes X` is a spelling of the
+        # one-point scenario G/S/t=T/sizes:X.
+        sizes = _parse_sizes(args.sizes if args.sizes is not None else "1,2,3")
+        scenarios = [
+            Scenario(
+                graph_spec=args.graph,
+                strategy=args.strategy,
+                t=args.t,
+                faults=FaultModel("sizes", sizes=tuple(sizes)),
             )
-        if args.t is not None:
-            raise ValueError(
-                "--t has no effect with --scenario; put it in the spec, "
-                "e.g. hypercube:d=4/kernel/t=2"
-            )
-        if args.sizes != "1,2,3":
-            raise ValueError(
-                "--sizes has no effect with --scenario; put the fault model "
-                "in the spec, e.g. hypercube:d=4/sizes:1,2,3"
-            )
-        return _run_scenario_campaigns(args)
-    if not args.graph:
+        ]
+        return _run_scenario_campaigns(args, scenarios)
+    if not args.scenario:
         raise ValueError("one of --graph or --scenario is required")
-    graph, result = _build(args)
-    sizes = _parse_sizes(args.sizes)
-    engine = CampaignEngine(
-        graph,
-        result.routing,
-        workers=args.workers,
-        chunk_size=args.chunk_size,
-        backend=args.eval_backend,
-    )
-    campaigns = engine.sweep_fault_sizes(
-        sizes,
-        samples=args.samples,
-        seed=args.seed,
-        bound=args.bound,
-        greedy=args.greedy,
-        candidate_limit=args.candidate_limit,
-    )
-    print(result.describe())
-    print()
-    bound_note = f", bound={args.bound:g}" if args.bound is not None else ""
-    print(
-        format_table(
-            [campaign.as_row() for campaign in campaigns],
-            caption=(
-                f"Fault campaigns ({args.samples} samples/size, "
-                f"workers={args.workers}, seed={args.seed}{bound_note})"
-            ),
+    # Scenario specs carry their own strategy / t / fault model; refuse
+    # the --graph-mode flags instead of silently ignoring them.
+    if args.strategy != "auto":
+        raise ValueError(
+            "--strategy has no effect with --scenario; put the strategy "
+            "in the spec, e.g. hypercube:d=4/kernel"
         )
+    if args.t is not None:
+        raise ValueError(
+            "--t has no effect with --scenario; put it in the spec, "
+            "e.g. hypercube:d=4/kernel/t=2"
+        )
+    if args.sizes is not None:
+        raise ValueError(
+            "--sizes has no effect with --scenario; put the fault model "
+            "in the spec, e.g. hypercube:d=4/sizes:1,2,3"
+        )
+    return _run_scenario_campaigns(
+        args, [parse_scenario(spec) for spec in args.scenario]
     )
-    exit_code = 0
-    for campaign in campaigns:
-        if args.bound is not None:
-            if campaign.first_violation is not None:
-                print(
-                    f"first violation at |F|={campaign.fault_size}: "
-                    f"{campaign.first_violation}"
-                )
-                exit_code = 1
-        elif campaign.worst_fault_set is not None and len(campaign.worst_fault_set):
-            print(f"worst at |F|={campaign.fault_size}: {campaign.worst_fault_set}")
-    return exit_code
 
 
-def _run_scenario_campaigns(args: argparse.Namespace) -> int:
-    """Run ``repro campaign --scenario ...`` through the suite runner."""
-    scenarios = [parse_scenario(spec) for spec in args.scenario]
+def _run_scenario_campaigns(
+    args: argparse.Namespace, scenarios: List[Scenario]
+) -> int:
+    """Run ``repro campaign`` through the suite runner and print its rows.
+
+    Each row's witness follows the table: the worst fault set of an exact
+    row, the first violating set of a decision row.
+    """
     rows = run_scenario_suite(
         scenarios,
         samples=args.samples,
@@ -383,6 +365,16 @@ def _run_scenario_campaigns(args: argparse.Namespace) -> int:
             ),
         )
     )
+    for row in rows:
+        campaign = row.campaign
+        if isinstance(campaign, DecisionCampaignResult):
+            if campaign.first_violation is not None:
+                print(
+                    f"first violation at |F|={campaign.fault_size}: "
+                    f"{campaign.first_violation}"
+                )
+        elif isinstance(campaign, CampaignResult) and campaign.worst_fault_set:
+            print(f"worst at |F|={campaign.fault_size}: {campaign.worst_fault_set}")
     return _report_failures(rows, args.bound, sys.stdout)
 
 
@@ -987,7 +979,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub_campaign.add_argument(
-        "--sizes", default="1,2,3", help="comma-separated fault-set sizes, e.g. 1,2,3"
+        "--sizes",
+        default=None,
+        help="comma-separated fault-set sizes with --graph (default: 1,2,3)",
     )
     sub_campaign.add_argument("--samples", type=int, default=100)
     sub_campaign.add_argument("--seed", type=int, default=0)

@@ -72,9 +72,10 @@ without running a single BFS.
 
 The index is read-only with respect to the graph and routing: mutating either
 after building the index invalidates it (build a fresh one instead).  It is
-picklable (plain ints, tuples and dicts), so a pre-built index can be shipped
-to :class:`~repro.faults.engine.CampaignEngine` worker processes instead of
-being rebuilt per worker.
+picklable (plain ints, tuples and dicts), so a pre-built index (or its
+:meth:`RouteIndex.slim` copy) can be shipped to
+:class:`~repro.faults.engine.ShardExecutor` worker processes instead of being
+rebuilt per worker.
 """
 
 from __future__ import annotations
@@ -587,8 +588,8 @@ class RouteIndex:
     ) -> List[float]:
         """Surviving diameters for a whole battery of fault sets, in order.
 
-        The batch entry point the campaign engine and the suite workers
-        evaluate their shards through.  On the numpy backend the battery
+        The batch entry point every shard executor task evaluates its
+        shard through.  On the numpy backend the battery
         advances **together** — one packed reach tensor, one vectorised BFS
         level advance for all entries — which is where the backend's speedup
         comes from; on the bitset backend this is exactly a loop of

@@ -17,22 +17,34 @@ Exhaustive enumeration is exact; the adversarial battery yields a certified
 violation found disproves the claimed guarantee; absence of violations over
 the battery is strong — but not exhaustive — evidence).
 
-Both paths run through the campaign engine's bounded-diameter decision scan:
-fault sets are evaluated with the claimed bound as an eccentricity cap and
-the scan short-circuits at the first violation, whose exact diameter becomes
-the report's witness.  Exhaustive enumerations stream through the engine's
-generative shards, so they parallelise like random batteries.
+Every scan is planned by the suite's
+:func:`~repro.scenarios.suite.plan_campaign` — ``"explicit"`` shards for a
+given or combined battery, ``"exhaustive"`` shards per fault-set size — and
+evaluated on the shard executor against one in-memory
+:class:`~repro.core.route_index.RouteIndex`
+(:func:`~repro.faults.engine.evaluate_on_index`, strict: a failed shard
+raises).  Tolerance checks use the claimed bound as an eccentricity cap and
+stop at the first violation, whose exact diameter becomes the report's
+witness.  Workers regenerate exhaustive slices locally, so enumerations
+parallelise like random batteries.  The scans stay outside the scenario
+suite because they take in-memory routings and batteries, while the suite
+is keyed on scenario specs and stores.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-from typing import Hashable, Iterable, List, Optional, Sequence, Union
+import itertools
+import math
+from typing import Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.construction import ConstructionResult
+from repro.core.route_index import RouteIndex
 from repro.core.routing import MultiRouting, Routing
 from repro.core.surviving import surviving_diameter
 from repro.faults.adversary import combined_fault_sets, count_fault_sets
+from repro.faults.engine import DEFAULT_CHUNK_SIZE, evaluate_on_index
 from repro.faults.models import FaultSet
 from repro.graphs.graph import Graph
 
@@ -86,6 +98,54 @@ class ToleranceReport:
         )
 
 
+def _scan_index(
+    graph: Graph, routing: AnyRouting, index, workers: int
+) -> RouteIndex:
+    """Return the index a scan evaluates against, refusing bad arguments."""
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    if index is None:
+        return RouteIndex(graph, routing)
+    if not index.matches(graph, routing):
+        raise ValueError(
+            "the supplied RouteIndex was built for a different graph or routing"
+        )
+    return index
+
+
+def _bounded_scan(
+    index: RouteIndex, tasks: Iterable, bound: float, workers: int
+) -> Tuple[float, Optional[FaultSet], int]:
+    """Early-exit scan: is every fault set's surviving diameter <= ``bound``?
+
+    Returns ``(worst_diameter, worst_fault_set, evaluated)``.  The scan
+    stops at the *first* violating fault set in battery order: then
+    ``worst_diameter`` is the exact diameter of that witness and
+    ``evaluated`` counts the sets inspected up to and including it.  When
+    the bound holds, ``worst_diameter`` is the battery-wide maximum of the
+    outcomes (the first set realising it wins; ``inf`` dominates).
+
+    Shards are evaluated whole, so a violation costs at most one chunk of
+    extra work in-process; the pooled supervisor keeps a sliding window of
+    a few shards per worker in flight, so an early exit leaves at most one
+    window behind.  An empty battery is refused.
+    """
+    worst = -1.0
+    worst_set: Optional[FaultSet] = None
+    evaluated = 0
+    with contextlib.closing(evaluate_on_index(index, tasks, workers)) as outcomes:
+        for fault_set, diameter in outcomes:
+            evaluated += 1
+            if diameter > bound:
+                return index.surviving_diameter(fault_set), fault_set, evaluated
+            if diameter > worst:
+                worst = diameter
+                worst_set = fault_set
+    if evaluated == 0:
+        raise ValueError("no fault sets to evaluate")
+    return worst, worst_set, evaluated
+
+
 def worst_case_diameter(
     graph: Graph,
     routing: AnyRouting,
@@ -96,17 +156,18 @@ def worst_case_diameter(
     """Return ``(worst_diameter, worst_fault_set, evaluated_count)``.
 
     The baseline (no faults) is *not* added automatically; include the empty
-    fault set in ``fault_sets`` if the fault-free diameter matters.
+    fault set in ``fault_sets`` if the fault-free diameter matters.  An
+    empty battery raises :class:`ValueError`.
 
-    The battery is evaluated through a :class:`~repro.faults.engine
-    .CampaignEngine`: incrementally against a
+    The battery is evaluated exactly, incrementally against a
     :class:`~repro.core.route_index.RouteIndex` (pass ``index`` to reuse a
     pre-built one) and, when ``workers > 1``, sharded across a process pool.
     """
-    from repro.faults.engine import CampaignEngine
+    from repro.scenarios.suite import plan_campaign
 
-    engine = CampaignEngine(graph, routing, workers=workers, index=index)
-    return engine.worst_case(fault_sets)
+    index = _scan_index(graph, routing, index, workers)
+    tasks = plan_campaign("explicit", 0, DEFAULT_CHUNK_SIZE, fault_sets=fault_sets)
+    return _bounded_scan(index, tasks, math.inf, workers)
 
 
 def check_tolerance(
@@ -127,54 +188,53 @@ def check_tolerance(
     When ``fault_sets`` is omitted, exhaustive enumeration of every fault set
     of size at most ``max_faults`` is used if it stays below
     ``exhaustive_limit`` sets; otherwise the combined adversarial battery from
-    :func:`repro.faults.adversary.combined_fault_sets` is used.
+    :func:`repro.faults.adversary.combined_fault_sets` is used.  An empty
+    ``fault_sets`` battery raises :class:`ValueError`.
 
-    Evaluation goes through the engine's bounded-diameter decision path:
-    every fault set is checked with an eccentricity cap of
+    Every fault set is checked with an eccentricity cap of
     ``diameter_bound`` (an evaluation stops at the first BFS level that
-    exceeds the cap) and the scan stops at the first violating fault set, whose
-    exact diameter is reported.  Exhaustive enumerations stream through the
-    engine's generative shards (deterministic ``itertools.combinations``
-    offsets), so they shard across the worker pool like random batteries do.
-    ``index`` is reused when given (it also accelerates the greedy
-    adversarial battery generation); with ``workers > 1`` the engine ships
-    its pre-built index to the pool.  ``candidate_limit`` is the greedy
-    adversary's per-round candidate budget (combined battery path only).
+    exceeds the cap) and the scan stops at the first violating fault set,
+    whose exact diameter is reported.  Exhaustive enumerations are planned
+    as generative shards (deterministic ``itertools.combinations``
+    offsets), so they shard across the worker pool like random batteries
+    do.  ``index`` is reused when given (it also accelerates the greedy
+    adversarial battery generation); with ``workers > 1`` its slim copy is
+    shipped to the pool.  ``candidate_limit`` is the greedy adversary's
+    per-round candidate budget (combined battery path only).
     """
-    from repro.faults.engine import CampaignEngine
+    from repro.scenarios.suite import plan_campaign
 
-    engine = CampaignEngine(graph, routing, workers=workers, index=index)
-    exhaustive = False
-    if fault_sets is None:
-        n = graph.number_of_nodes()
-        if count_fault_sets(n, max_faults) <= exhaustive_limit:
-            exhaustive = True
-            worst, worst_set, evaluated, _holds = engine.exhaustive_worst_case(
-                max_faults, diameter_bound
+    index = _scan_index(graph, routing, index, workers)
+    n = graph.number_of_nodes()
+    exhaustive = (
+        fault_sets is None and count_fault_sets(n, max_faults) <= exhaustive_limit
+    )
+    if exhaustive:
+        tasks = itertools.chain.from_iterable(
+            plan_campaign(
+                "exhaustive",
+                size,
+                DEFAULT_CHUNK_SIZE,
+                diameter_bound,
+                total=math.comb(n, size),
             )
-            return ToleranceReport(
-                claimed_diameter=diameter_bound,
-                max_faults=max_faults,
-                worst_diameter=worst,
-                worst_fault_set=worst_set,
-                evaluated=evaluated,
-                exhaustive=exhaustive,
-            )
-        fault_sets = combined_fault_sets(
-            graph,
-            routing,
-            max_faults,
-            concentrator=concentrator,
-            seed=seed,
-            index=engine.index,
-            candidate_limit=candidate_limit,
+            for size in range(min(max_faults, n) + 1)
         )
     else:
-        fault_sets = list(fault_sets)
-
-    worst, worst_set, evaluated, _holds = engine.bounded_worst_case(
-        fault_sets, diameter_bound
-    )
+        if fault_sets is None:
+            fault_sets = combined_fault_sets(
+                graph,
+                routing,
+                max_faults,
+                concentrator=concentrator,
+                seed=seed,
+                index=index,
+                candidate_limit=candidate_limit,
+            )
+        tasks = plan_campaign(
+            "explicit", 0, DEFAULT_CHUNK_SIZE, diameter_bound, fault_sets=fault_sets
+        )
+    worst, worst_set, evaluated = _bounded_scan(index, tasks, diameter_bound, workers)
     return ToleranceReport(
         claimed_diameter=diameter_bound,
         max_faults=max_faults,

@@ -15,7 +15,7 @@ from repro.faults.simulation import (
     aggregate_decisions,
     aggregate_outcomes,
 )
-from repro.faults.engine import CampaignEngine, shard_seed
+from repro.faults.engine import shard_seed
 
 __all__ = [
     "FaultSet",
@@ -30,6 +30,5 @@ __all__ = [
     "DecisionCampaignResult",
     "aggregate_decisions",
     "aggregate_outcomes",
-    "CampaignEngine",
     "shard_seed",
 ]

@@ -1,4 +1,4 @@
-"""The shard executor and the fault-campaign engine built on it.
+"""The shard executor: every campaign and tolerance scan evaluates through it.
 
 Every campaign, battery and sweep in the library reduces to the same loop —
 "for each fault set, compute the surviving diameter" — evaluated against a
@@ -6,25 +6,25 @@ Every campaign, battery and sweep in the library reduces to the same loop —
 fault set subtracts its affected arcs from the cached base route graph
 instead of re-walking all ``n^2`` routes).
 
-:class:`ShardExecutor` runs that loop for both campaign front ends,
-:class:`CampaignEngine` (one graph and routing) and
-:func:`repro.scenarios.suite.run_scenario_suite` (many scenarios).  Both
-plan and fold their campaigns with the suite's code:
-:func:`repro.scenarios.suite.plan_campaign` cuts a battery into
-:class:`ShardTask` descriptors (a greedy probe is one more task, grown by
-a worker), and :func:`repro.scenarios.suite.fold_campaign` aggregates a
-campaign's outcomes into its row.  One supervised :mod:`multiprocessing`
-pool — or the calling process, with one worker — evaluates the tasks,
-streaming outcomes back in task order so aggregation is incremental
-(bounded memory) and byte-for-byte independent of the worker count.  This
-module imports the suite lazily, since the suite builds on it.
+:class:`ShardExecutor` runs that loop for the library's two callers:
+:func:`repro.scenarios.suite.run_scenario_suite` (``repro campaign`` and
+``repro grid``; many scenarios, keyed by their canonical specs) and the
+tolerance scans of :mod:`repro.core.tolerance` (one in-memory routing,
+through :func:`evaluate_on_index`).  Batteries are planned by
+:func:`repro.scenarios.suite.plan_campaign`, which cuts them into
+:class:`ShardTask` descriptors (a greedy probe is one more task, grown by a
+worker).  One supervised :mod:`multiprocessing` pool — or the calling
+process, with one worker — evaluates the tasks, streaming outcomes back in
+task order so folding is incremental (bounded memory) and byte-for-byte
+independent of the worker count.  This module imports the suite lazily,
+since the suite builds on it.
 
 Determinism is a hard requirement: the same integer seed must produce the
-same campaign rows whether the battery runs in-process or across N workers.
+same outcomes whether the battery runs in-process or across N workers.
 Two design rules enforce it:
 
 1. sharding is a pure function of the battery and ``chunk_size`` — never of
-   the worker count — and outcomes are aggregated in shard order;
+   the worker count — and outcomes are yielded in shard order;
 2. randomly generated batteries use *per-shard seeding*: shard ``i`` of a
    campaign draws its fault sets from ``random.Random(shard_seed(seed, tag,
    i))``, so a worker can regenerate its shard locally from a tiny
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 import math
 import random as _random
 import weakref
@@ -53,16 +52,12 @@ from typing import (
 )
 
 from repro.core.route_index import RouteIndex
-from repro.core.routing import MultiRouting, Routing
 from repro.faults.models import FaultSet
-from repro.faults.simulation import CampaignResult, DecisionCampaignResult
 from repro.graphs.graph import Graph
 from repro.runtime import Supervisor, SupervisorPolicy, chaos_point, shutdown_pool
 
 Node = Hashable
-AnyRouting = Union[Routing, MultiRouting]
 Outcome = Tuple[FaultSet, float]
-CampaignRow = Union[CampaignResult, DecisionCampaignResult]
 Workload = Tuple[RouteIndex, Optional[str]]
 
 #: Default number of fault sets per shard.  Sharding depends only on this
@@ -98,8 +93,8 @@ def workload_key(spec: Optional[str], backend: Optional[str]) -> str:
 
     The backend is part of the key so a parent-broadcast slim index (built
     with the parent's resolved backend) is never conflated with a
-    worker-side rebuild under a different one.  Engine tasks carry no
-    scenario, so their single workload is ``workload_key(None, None)``.
+    worker-side rebuild under a different one.  Tolerance-scan tasks carry
+    no scenario, so their single workload is ``workload_key(None, None)``.
     """
     return f"{spec}\x00{backend}"
 
@@ -134,8 +129,8 @@ class ShardTask:
     ``spec`` and ``backend`` name the workload.  Suite tasks carry their
     canonical scenario string and the **parent-resolved** eval backend, so a
     worker that has to rebuild the scenario constructs exactly the parent's
-    index instead of consulting its own environment.  Engine tasks leave
-    both ``None``.  ``campaign_key`` is the suite row (scenario position,
+    index instead of consulting its own environment.  Tolerance-scan tasks
+    leave both ``None``.  ``campaign_key`` is the suite row (scenario position,
     campaign position) the outcomes fold into.
     """
 
@@ -446,340 +441,27 @@ class ShardExecutor:
         return supervisor.run(tasks)
 
 
-class CampaignEngine:
-    """Indexed fault-campaign runner over one graph and routing.
+def evaluate_on_index(
+    index: RouteIndex, tasks: Iterable[ShardTask], workers: int = 1
+) -> Iterator[Outcome]:
+    """Yield ``(fault_set, diameter)`` for ``tasks`` against one in-memory index.
 
-    It owns the routing's index and a :class:`ShardExecutor`; campaigns are
-    planned and folded by the suite's :func:`~repro.scenarios.suite
-    .plan_campaign` and :func:`~repro.scenarios.suite.fold_campaign`.
-
-    Parameters
-    ----------
-    graph, routing:
-        The network and routing under attack.
-    workers:
-        Number of worker processes.  ``1`` (the default) evaluates in-process
-        with no :mod:`multiprocessing` involvement at all; any larger value
-        shards batteries across the :class:`ShardExecutor`'s pool.  Results
-        are identical either way.
-    chunk_size:
-        Fault sets per shard (streaming granularity).
-    index:
-        Optional pre-built :class:`RouteIndex` to reuse; must match
-        ``(graph, routing)``.  Built lazily on first use otherwise.
-    backend:
-        Forwarded to the lazily built :class:`RouteIndex` (ignored when a
-        pre-built ``index`` is supplied — that index's resolved backend
-        wins).  It is resolved **once**, in the parent process, and travels
-        with the slim index to every worker: workers never consult their own
-        environment, so a pool whose processes see divergent environment
-        variables still evaluates every shard identically.
-    policy:
-        Optional :class:`~repro.runtime.SupervisorPolicy` tuning the
-        supervised dispatch (task timeouts, retry budget, pool rebuilds).
-        The engine always runs its supervisor **strict**: a campaign
-        aggregate with missing outcomes would be silently wrong, so a shard
-        that exhausts its retry budget raises
-        :class:`~repro.runtime.TaskFailedError` rather than being
-        quarantined (the suite layer quarantines whole campaigns instead).
+    The tasks run on a :class:`ShardExecutor` whose single workload is
+    ``index`` (with ``workers > 1`` its slim copy is shipped to the pool),
+    and outcomes come back in task order.  The policy is **strict**: a
+    stream with holes would be silently wrong, so a task that exhausts its
+    retry budget raises :class:`~repro.runtime.TaskFailedError` instead of
+    being quarantined.  The executor is closed when the stream is exhausted
+    or closed, so a consumer that stops early should close the stream (for
+    instance with :func:`contextlib.closing`).
     """
-
-    def __init__(
-        self,
-        graph: Graph,
-        routing: AnyRouting,
-        workers: int = 1,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        index: Optional[RouteIndex] = None,
-        backend: Optional[str] = None,
-        policy: Optional[SupervisorPolicy] = None,
-    ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
-        if index is not None and not index.matches(graph, routing):
-            raise ValueError(
-                "the supplied RouteIndex was built for a different graph or routing"
-            )
-        self.graph = graph
-        self.routing = routing
-        self.workers = workers
-        self.chunk_size = chunk_size
-        self._index = index
-        self._backend = backend
-        # Aggregates cannot tolerate holes: dispatch is always fail-fast at
-        # the shard level, whatever the caller's quarantine preference.
-        self._policy = dataclasses.replace(
-            policy if policy is not None else SupervisorPolicy(), strict=True
-        )
-        self._executor: Optional[ShardExecutor] = None
-
-    # ------------------------------------------------------------------
-    # Index access
-    # ------------------------------------------------------------------
-    @property
-    def index(self) -> RouteIndex:
-        """The engine's route index (built on first access)."""
-        if self._index is None:
-            self._index = RouteIndex(self.graph, self.routing, backend=self._backend)
-        return self._index
-
-    # ------------------------------------------------------------------
-    # Shard evaluation
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Terminate the worker pool (no-op when none was started)."""
-        if self._executor is not None:
-            self._executor.close()
-
-    def __enter__(self) -> "CampaignEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _ensure_executor(self) -> ShardExecutor:
-        """Return the engine's shard executor, created on first use.
-
-        The executor — and with it the pool and the slim index shipped to
-        every worker — persists for the engine's lifetime, so a sweep over
-        many fault sizes pays the pool start-up and the index serialisation
-        once (and the index itself is built once, in the parent).
-        """
-        if self._executor is None:
-            self._executor = ShardExecutor(
-                {workload_key(None, None): (self.index, None)},
-                workers=self.workers,
-                policy=self._policy,
-            )
-        return self._executor
-
-    def _evaluate_shards(self, shards: Iterable[ShardTask]) -> Iterator[Outcome]:
-        """Yield ``(fault_set, diameter)`` in battery order.
-
-        The strict policy raises instead of yielding a
-        :class:`~repro.runtime.FailedTask`, so every result is real.
-        """
-        for _task, (_fingerprint, outcomes) in self._ensure_executor().run(shards):
+    executor = ShardExecutor(
+        {workload_key(None, None): (index, None)},
+        workers=workers,
+        policy=SupervisorPolicy(strict=True),
+    )
+    try:
+        for _task, (_fingerprint, outcomes) in executor.run(tasks):
             yield from outcomes
-
-    def _explicit(
-        self, fault_sets: Iterable[FaultSet], cap: Optional[float] = None
-    ) -> Iterator[ShardTask]:
-        """Plan a caller-supplied battery as ``"explicit"`` shards."""
-        from repro.scenarios.suite import plan_campaign
-
-        return plan_campaign(
-            "explicit", 0, self.chunk_size, cap, fault_sets=fault_sets
-        )
-
-    # ------------------------------------------------------------------
-    # Public evaluation surface
-    # ------------------------------------------------------------------
-    def evaluate(self, fault_sets: Iterable[FaultSet]) -> Iterator[Outcome]:
-        """Yield ``(fault_set, surviving_diameter)`` in battery order."""
-        return self._evaluate_shards(self._explicit(fault_sets))
-
-    def worst_case(self, fault_sets: Iterable[FaultSet]) -> Tuple[float, Optional[FaultSet], int]:
-        """Return ``(worst_diameter, worst_fault_set, evaluated_count)``.
-
-        Matches :func:`repro.core.tolerance.worst_case_diameter`: the first
-        fault set realising the strict maximum wins, and ``inf`` dominates.
-        """
-        worst = -1.0
-        worst_set: Optional[FaultSet] = None
-        evaluated = 0
-        for fault_set, diameter in self.evaluate(fault_sets):
-            evaluated += 1
-            if diameter > worst:
-                worst = diameter
-                worst_set = fault_set
-        return worst, worst_set, evaluated
-
-    # ------------------------------------------------------------------
-    # Bounded-diameter decision scans
-    # ------------------------------------------------------------------
-    def _bounded_scan(
-        self, shards: Iterable[ShardTask], bound: float
-    ) -> Tuple[float, Optional[FaultSet], int, bool]:
-        """Early-exit scan: is every fault set's surviving diameter <= ``bound``?
-
-        Returns ``(worst_diameter, worst_fault_set, evaluated, holds)``.
-        The shards carry an eccentricity cap of ``bound`` (an evaluation
-        stops at the first BFS level that exceeds the cap), and the scan
-        stops at the *first* violating fault set in battery order: on a
-        violation ``worst_diameter`` is the exact diameter of that witness
-        and ``evaluated`` counts the sets inspected up to and including it.
-        When the bound holds, every set was evaluated and ``worst_diameter``
-        is the exact battery-wide maximum.
-
-        Evaluation is whole shards at a time, so a violation costs at most
-        one chunk of extra work in-process; the pooled supervisor keeps a
-        sliding window of a few shards per worker in flight, so an early
-        exit leaves at most one window behind instead of the whole remaining
-        enumeration.
-        """
-        worst = -1.0
-        worst_set: Optional[FaultSet] = None
-        evaluated = 0
-        for fault_set, capped in self._evaluate_shards(shards):
-            evaluated += 1
-            if capped > bound:
-                return (
-                    self.index.surviving_diameter(fault_set),
-                    fault_set,
-                    evaluated,
-                    False,
-                )
-            if capped > worst:
-                worst = capped
-                worst_set = fault_set
-        return worst, worst_set, evaluated, True
-
-    def bounded_worst_case(
-        self, fault_sets: Iterable[FaultSet], bound: float
-    ) -> Tuple[float, Optional[FaultSet], int, bool]:
-        """Early-exit battery scan against ``bound`` (see :meth:`_bounded_scan`)."""
-        return self._bounded_scan(self._explicit(fault_sets, cap=bound), bound)
-
-    def exhaustive_worst_case(
-        self, max_faults: int, bound: float, include_smaller: bool = True
-    ) -> Tuple[float, Optional[FaultSet], int, bool]:
-        """Early-exit exhaustive scan over all fault sets of size <= ``max_faults``.
-
-        Each size is planned as an ``"exhaustive"`` campaign (see
-        :func:`repro.scenarios.suite.plan_campaign`): deterministic
-        :func:`itertools.combinations` offsets over the ``repr``-sorted node
-        pool, in the order of :func:`repro.faults.adversary.all_fault_sets`.
-        Workers regenerate their slice locally, so exhaustive tolerance
-        checks shard across the pool like random batteries do — no fault
-        sets cross the process boundary on the way in.  Sizes above the
-        node count have no fault sets and are skipped.
-        """
-        from repro.scenarios.suite import plan_campaign
-
-        n = self.graph.number_of_nodes()
-        first = 0 if include_smaller else max_faults
-        tasks = itertools.chain.from_iterable(
-            plan_campaign(
-                "exhaustive", size, self.chunk_size, bound, total=math.comb(n, size)
-            )
-            for size in range(first, min(max_faults, n) + 1)
-        )
-        return self._bounded_scan(tasks, bound)
-
-    # ------------------------------------------------------------------
-    # Campaigns
-    # ------------------------------------------------------------------
-    def run_campaign(
-        self,
-        fault_size: int,
-        samples: int = 100,
-        seed: Optional[int] = None,
-        fault_sets: Optional[Iterable[FaultSet]] = None,
-        bound: Optional[float] = None,
-        frame=None,
-        greedy: bool = False,
-        candidate_limit: int = 40,
-    ) -> CampaignRow:
-        """Run one campaign at ``fault_size`` and aggregate the outcomes.
-
-        The battery is planned and folded by the suite's
-        :func:`~repro.scenarios.suite.plan_campaign` and
-        :func:`~repro.scenarios.suite.fold_campaign`, with per-shard seeds
-        from ``seed`` (``None``: a fresh random seed), so the result is
-        independent of the worker count.  Explicit ``fault_sets`` are
-        evaluated as given.
-
-        With ``bound`` given the campaign streams *decisions* instead of
-        exact diameters: every fault set is evaluated with an eccentricity
-        cap of ``bound`` (``surviving_diameter_at_most`` semantics) and the
-        aggregate is a :class:`~repro.faults.simulation
-        .DecisionCampaignResult` of pass/fail rows — much cheaper than exact
-        evaluation when diameters exceed the bound, and all a tolerance
-        table needs.
-
-        With ``greedy`` the battery additionally includes one greedy
-        adversarial fault set of ``fault_size``, grown by a ``"greedy"``
-        task like the suite's (candidate rounds capped at
-        ``candidate_limit``; deterministically seeded from the campaign
-        seed), so the aggregate's
-        worst-case columns reflect an adversarial probe and not just random
-        sampling.  The tunables are stamped onto the result record
-        (``backend`` always; ``candidate_limit`` when the greedy probe ran).
-
-        ``frame`` may name a :class:`~repro.results.frame.ResultFrame` built
-        over the unified record schema; the campaign's record is appended to
-        it (the returned view and the frame row are interconvertible).
-
-        A generated battery whose ``fault_size`` exceeds the node count is
-        refused with a :class:`ValueError` before anything is evaluated.
-        """
-        from repro.scenarios.suite import fold_campaign, plan_campaign
-
-        probe = greedy and fault_size > 0
-        base = seed if seed is not None else _random.SystemRandom().getrandbits(64)
-        if fault_sets is None:
-            check_fault_size(
-                self.graph.name or "graph", fault_size, self.graph.number_of_nodes()
-            )
-        tasks = plan_campaign(
-            "random" if fault_sets is None else "explicit",
-            fault_size,
-            self.chunk_size,
-            bound,
-            total=samples,
-            seed=base,
-            tag=f"size={fault_size}",
-            fault_sets=fault_sets,
-            greedy_seed=(
-                shard_seed(base, f"greedy:size={fault_size}", 0) if probe else None
-            ),
-            candidate_limit=candidate_limit,
-        )
-        result = fold_campaign(
-            fault_size,
-            self._evaluate_shards(tasks),
-            bound,
-            self.index.eval_backend,
-            candidate_limit if probe else None,
-        )
-        if frame is not None:
-            frame.append(result.record())
-        return result
-
-    def sweep_fault_sizes(
-        self,
-        sizes: Sequence[int],
-        samples: int = 50,
-        seed: Optional[int] = None,
-        bound: Optional[float] = None,
-        frame=None,
-        greedy: bool = False,
-        candidate_limit: int = 40,
-    ) -> List[CampaignRow]:
-        """Run one campaign per fault-set size and return the results in order.
-
-        The seed is re-derived per size with :func:`shard_seed`, so each
-        size's battery is independent of the others (and of the worker
-        count).  ``bound`` selects the streaming-decision
-        path per campaign, and ``greedy``/``candidate_limit`` add a greedy
-        adversarial probe per size (see :meth:`run_campaign`); ``frame``
-        collects one unified record per campaign.
-        """
-        base = seed if seed is not None else _random.SystemRandom().getrandbits(64)
-        # The position enters the derivation so that a repeated size draws an
-        # independent battery (doubling a size doubles the information).
-        return [
-            self.run_campaign(
-                size,
-                samples=samples,
-                seed=shard_seed(base, f"sweep:{position}", size),
-                bound=bound,
-                frame=frame,
-                greedy=greedy,
-                candidate_limit=candidate_limit,
-            )
-            for position, size in enumerate(sizes)
-        ]
+    finally:
+        executor.close()

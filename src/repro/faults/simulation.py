@@ -7,10 +7,10 @@ aggregates the results (mean / max diameter, fraction of disconnecting fault
 sets, distribution over fault-set sizes), which the examples and a couple of
 benchmarks report alongside the worst-case numbers.
 
-Campaigns themselves run through :class:`repro.faults.engine
-.CampaignEngine` (one graph and routing) or
-:func:`repro.scenarios.suite.run_scenario_suite` (many scenarios); both fold
-their streamed outcomes into the result views below through
+Campaigns themselves run through
+:func:`repro.scenarios.suite.run_scenario_suite` (``repro campaign`` and
+``repro grid``), whose :func:`~repro.scenarios.suite.fold_campaign` folds
+each campaign's streamed outcomes into the result views below through
 :func:`aggregate_outcomes` and :func:`aggregate_decisions`.
 """
 
@@ -46,8 +46,8 @@ class CampaignResult:
     min_diameter: float
     disconnected_fraction: float
     worst_fault_set: Optional[FaultSet] = None
-    #: BFS kernel label (:data:`BFS_STRATEGY`), recorded by the engine and
-    #: the suite so stored rows carry their evaluation provenance.
+    #: BFS kernel label (:data:`BFS_STRATEGY`), stamped by the suite's fold
+    #: so stored rows carry their evaluation provenance.
     bfs_strategy: Optional[str] = None
     #: Realised fault-set sizes across the battery.  These equal
     #: ``fault_size`` for fixed-size batteries but carry the real
@@ -151,8 +151,9 @@ class CampaignResult:
 class DecisionCampaignResult:
     """Aggregated pass/fail outcome of a *bounded-decision* campaign.
 
-    Produced by ``CampaignEngine.run_campaign(bound=...)``: every fault set
-    of the battery is evaluated with an eccentricity cap of ``bound`` (the
+    Produced by :func:`~repro.scenarios.suite.fold_campaign` when a
+    campaign runs with a ``bound`` (``run_scenario_suite(bound=...)``,
+    ``repro campaign --bound``): every fault set of the battery is evaluated with an eccentricity cap of ``bound`` (the
     ``surviving_diameter_at_most`` decision) instead of an exact diameter,
     so the campaign only learns — and only pays for — which side of the
     bound each set falls on.  ``worst_diameter`` is the battery-wide maximum of the

@@ -3,7 +3,7 @@
 * :class:`~repro.results.frame.ResultFrame` — typed columns, append-only
   rows, group-by / aggregate / pivot helpers;
 * :data:`~repro.results.records.RESULT_COLUMNS` — the shared experiment
-  record schema that engine campaigns, scenario suites and experiment
+  record schema that campaign views, scenario suites and experiment
   runners all emit into (the legacy result dataclasses are thin views
   reconstructed from these records);
 * :class:`~repro.results.store.ResultStore` — JSONL persistence with a run

@@ -1,6 +1,6 @@
 """The columnar result store: typed columns, append-only rows, aggregation.
 
-Every experiment in the library — engine campaigns, scenario suites, grid
+Every experiment in the library — campaigns, scenario suites, grid
 sweeps, adversarial batteries — used to terminate in its own ad-hoc result
 shape.  :class:`ResultFrame` replaces that zoo with one columnar store:
 

@@ -12,7 +12,7 @@ losslessly through a :class:`~repro.results.frame.ResultFrame` row and its
 JSONL persistence.
 
 Inapplicable columns are ``None`` (e.g. ``bound`` on an exact row, or
-``scenario`` on a bare engine campaign); ``kind`` discriminates the view
+``scenario`` on a bare campaign view's record); ``kind`` discriminates the view
 class a record reconstructs into.
 """
 

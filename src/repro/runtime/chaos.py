@@ -12,7 +12,7 @@ return — no measurable cost on the clean path.
     REPRO_CHAOS="<site>:<action>[:<match>]"
 
 * ``site`` — where to fire.  ``task`` fires inside worker task evaluation
-  (engine shards and suite tasks); ``build`` fires at the top of a suite
+  (suite shards and tolerance-scan shards); ``build`` fires at the top of a suite
   scenario's construction task (its label is the canonical scenario
   string); ``append`` fires inside
   :meth:`repro.results.store.ResultStore.append`.

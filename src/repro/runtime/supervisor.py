@@ -1,6 +1,6 @@
 """Supervised task dispatch over :mod:`multiprocessing` pools.
 
-The campaign engine and the scenario-suite runner both reduce to the same
+Scenario-suite campaigns and tolerance scans both reduce to the same
 shape: a deterministic list of pure tasks drained through a process pool,
 results folded in task order.  Before this module a single worker segfault,
 OOM-kill or wedged scenario aborted (or hung) the entire sweep.

@@ -35,14 +35,17 @@ count and any ``PYTHONHASHSEED``:
    genuine determinism check that fails loudly instead of silently skewing
    rows.
 
-This module also holds the one campaign planner and the one fold, shared
-with :class:`~repro.faults.engine.CampaignEngine`:
-:func:`plan_campaign` cuts a campaign's battery into shard tasks (plus a
-trailing ``"greedy"`` task when the battery carries a greedy probe) and
-refuses batteries that cannot be planned, and :func:`fold_campaign`
-aggregates a campaign's outcomes into its row and stamps its provenance
-columns.  Both front ends therefore shard, probe and aggregate the same way;
-only their seed tags differ, and those stay with each caller.
+The suite is the library's one campaign front end: ``repro campaign`` (in
+both its ``--scenario`` and its ``--graph`` spelling, which names a
+one-point scenario) and ``repro grid`` run through it.  This module also
+holds the one battery planner, :func:`plan_campaign`, which cuts a
+campaign's battery into shard tasks (plus a trailing ``"greedy"`` task when
+the battery carries a greedy probe) and refuses batteries that cannot be
+planned, and the one fold, :func:`fold_campaign`, which aggregates a
+campaign's outcomes into its row and stamps its provenance columns.  The
+tolerance scans of :mod:`repro.core.tolerance` plan their in-memory
+batteries with :func:`plan_campaign` too, but evaluate them outside the
+suite, against one in-memory index.
 
 With ``bound`` given the suite runs *bounded-decision* campaigns: fault sets
 are evaluated with an eccentricity cap (``surviving_diameter_at_most``
@@ -280,8 +283,8 @@ def plan_campaign(
 ) -> Iterator[ShardTask]:
     """Plan one campaign's battery as shard tasks, in battery order.
 
-    The one battery planner of the suite and of
-    :class:`~repro.faults.engine.CampaignEngine`.  A generated battery
+    The one battery planner of the suite and of the tolerance scans
+    (:mod:`repro.core.tolerance`).  A generated battery
     (``"random"``, ``"random-p"``, ``"exhaustive"``) of ``total`` fault sets
     is cut into ``chunk_size`` slices, slice ``i`` seeded by
     ``shard_seed(seed, tag, i)``; an ``"explicit"`` battery chunks

@@ -174,9 +174,14 @@ class TestCampaignRowsRecordTheKernel:
         return graph, kernel_routing(graph).routing
 
     def test_engine_rows(self, workload):
-        from repro.faults import CampaignEngine
+        from repro.faults.engine import DEFAULT_CHUNK_SIZE, evaluate_on_index
+        from repro.scenarios.suite import fold_campaign, plan_campaign
 
         graph, routing = workload
-        row = CampaignEngine(graph, routing).run_campaign(1, samples=5, seed=0)
+        index = RouteIndex(graph, routing)
+        tasks = plan_campaign("random", 1, DEFAULT_CHUNK_SIZE, total=5, tag="size=1")
+        row = fold_campaign(
+            1, evaluate_on_index(index, tasks), None, index.eval_backend
+        )
         assert row.bfs_strategy == BFS_STRATEGY == "batched"
         assert row.as_row()["bfs"] == "batched"

@@ -50,7 +50,23 @@ class TestWorstCaseDiameter:
         assert worst_set == FaultSet({0, 4})
 
 
+    def test_empty_battery_rejected(self, edge_only_routing):
+        graph, routing = edge_only_routing
+        with pytest.raises(ValueError, match="no fault sets to evaluate"):
+            worst_case_diameter(graph, routing, [])
+        with pytest.raises(ValueError, match="no fault sets to evaluate"):
+            worst_case_diameter(graph, routing, iter(()), workers=2)
+
+
 class TestCheckTolerance:
+    def test_empty_battery_rejected(self, edge_only_routing):
+        """An empty battery is refused instead of holding vacuously."""
+        graph, routing = edge_only_routing
+        with pytest.raises(ValueError, match="no fault sets to evaluate"):
+            check_tolerance(graph, routing, 4, 1, fault_sets=[])
+        with pytest.raises(ValueError, match="no fault sets to evaluate"):
+            check_tolerance(graph, routing, 4, 1, fault_sets=[], workers=2)
+
     def test_exhaustive_mode_selected_for_small_problems(self, edge_only_routing):
         graph, routing = edge_only_routing
         report = check_tolerance(graph, routing, diameter_bound=6, max_faults=1)

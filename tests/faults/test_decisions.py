@@ -1,4 +1,10 @@
-"""Bounded-decision campaigns through ``CampaignEngine.run_campaign(bound=...)``."""
+"""Bounded-decision campaigns: rows folded with a ``bound``.
+
+Campaigns are planned by ``plan_campaign`` with the bound as the cap,
+evaluated on the shard executor against one route index and folded by
+``fold_campaign`` (the ``index_campaign`` fixture); multi-size sweeps run
+through the scenario suite.
+"""
 
 from __future__ import annotations
 
@@ -7,9 +13,10 @@ import pickle
 import pytest
 
 from repro.core import RouteIndex, kernel_routing
-from repro.faults import CampaignEngine, DecisionCampaignResult
+from repro.faults import DecisionCampaignResult
 from repro.faults.adversary import random_fault_sets
 from repro.graphs import generators
+from repro.scenarios import run_scenario_suite
 
 
 @pytest.fixture(scope="module")
@@ -20,24 +27,24 @@ def workload():
 
 
 class TestDecisionCampaigns:
-    def test_returns_decision_result(self, workload):
+    def test_returns_decision_result(self, workload, index_campaign):
         graph, routing = workload
-        engine = CampaignEngine(graph, routing)
-        row = engine.run_campaign(2, samples=15, seed=3, bound=4)
+        row = index_campaign(graph, routing, 2, samples=15, seed=3, bound=4)
         assert isinstance(row, DecisionCampaignResult)
         assert row.bound == 4
         assert row.samples == 15
         assert row.violations + round(row.pass_fraction * row.samples) == row.samples
         assert row.bfs_strategy == "batched"
 
-    def test_decisions_agree_with_exact_evaluation(self, workload):
+    def test_decisions_agree_with_exact_evaluation(self, workload, index_campaign):
         """A set is a violation iff its exact surviving diameter exceeds the bound."""
         graph, routing = workload
         index = RouteIndex(graph, routing)
         battery = list(random_fault_sets(graph.nodes(), 3, 25, seed=7))
         bound = 4
-        engine = CampaignEngine(graph, routing, index=index)
-        row = engine.run_campaign(3, fault_sets=battery, bound=bound)
+        row = index_campaign(
+            graph, routing, 3, fault_sets=battery, bound=bound, index=index
+        )
         exact = [index.surviving_diameter(fault_set) for fault_set in battery]
         expected_violations = sum(1 for diam in exact if diam > bound)
         assert row.violations == expected_violations
@@ -50,40 +57,38 @@ class TestDecisionCampaigns:
             assert row.first_violation == first
         assert row.holds == (expected_violations == 0)
 
-    def test_worst_diameter_exact_while_bound_holds(self, workload):
+    def test_worst_diameter_exact_while_bound_holds(self, workload, index_campaign):
         graph, routing = workload
-        engine = CampaignEngine(graph, routing)
-        index = RouteIndex(graph, routing)
-        row = engine.run_campaign(1, samples=20, seed=2, bound=10)
+        row = index_campaign(graph, routing, 1, samples=20, seed=2, bound=10)
         assert row.holds
         # With a generous bound every capped outcome is exact, so the worst
         # matches the exact campaign's max over the same battery.
-        exact_row = engine.run_campaign(1, samples=20, seed=2)
+        exact_row = index_campaign(graph, routing, 1, samples=20, seed=2)
         assert row.worst_diameter == exact_row.max_diameter
 
-    def test_rows_identical_for_1_vs_4_workers(self, workload):
-        graph, routing = workload
-        sequential = CampaignEngine(graph, routing, workers=1)
-        with CampaignEngine(graph, routing, workers=4) as parallel:
-            a = [
-                row.as_row()
-                for row in sequential.sweep_fault_sizes([1, 2, 3], samples=18, seed=4, bound=4)
-            ]
-            b = [
-                row.as_row()
-                for row in parallel.sweep_fault_sizes([1, 2, 3], samples=18, seed=4, bound=4)
-            ]
+    def test_rows_identical_for_1_vs_4_workers(self):
+        spec = "cycle:n=16/kernel/sizes:1,2,3"
+        a = [
+            row.as_row()
+            for row in run_scenario_suite([spec], samples=18, seed=4, bound=4)
+        ]
+        b = [
+            row.as_row()
+            for row in run_scenario_suite(
+                [spec], samples=18, seed=4, bound=4, workers=4
+            )
+        ]
         assert a == b
 
-    def test_module_level_run_campaign_bound(self, workload):
-        graph, routing = workload
-        row = CampaignEngine(graph, routing).run_campaign(2, samples=10, seed=1, bound=5)
-        assert isinstance(row, DecisionCampaignResult)
+    def test_module_level_run_campaign_bound(self):
+        (row,) = run_scenario_suite(
+            ["cycle:n=16/kernel/sizes:2"], samples=10, seed=1, bound=5
+        )
+        assert isinstance(row.campaign, DecisionCampaignResult)
 
-    def test_decision_row_rendering(self, workload):
+    def test_decision_row_rendering(self, workload, index_campaign):
         graph, routing = workload
-        engine = CampaignEngine(graph, routing)
-        row = engine.run_campaign(2, samples=10, seed=1, bound=2)
+        row = index_campaign(graph, routing, 2, samples=10, seed=1, bound=2)
         flat = row.as_row()
         assert flat["bound"] == 2
         assert flat["holds"] in ("yes", "NO")

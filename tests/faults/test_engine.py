@@ -1,24 +1,42 @@
-"""Unit tests for the sharded, indexed campaign engine.
+"""Unit tests for the shard executor and the campaigns and scans built on it.
 
 The central contract under test is determinism: the same integer seed must
-produce byte-identical campaign rows no matter how many worker processes
-evaluate the battery, because sharding and per-shard seeding depend only on
-the battery and chunk size — never on the pool.
+produce byte-identical campaign rows and tolerance answers no matter how
+many worker processes evaluate the battery, because sharding and per-shard
+seeding depend only on the battery and chunk size — never on the pool.
+Campaign rows are folded over outcomes the executor evaluates against one
+route index (the ``index_campaign`` fixture) or come from the scenario
+suite; early-exit scans are the tolerance functions.
 """
 
 import math
 
 import pytest
 
-from repro.core import kernel_routing, worst_case_diameter
+from repro.core import (
+    RouteIndex,
+    check_tolerance,
+    kernel_routing,
+    worst_case_diameter,
+)
 from repro.faults import (
-    CampaignEngine,
     FaultSet,
+    all_fault_sets,
     combined_fault_sets,
     shard_seed,
 )
+from repro.faults.engine import (
+    DEFAULT_CHUNK_SIZE,
+    ShardExecutor,
+    evaluate_on_index,
+    workload_key,
+)
 from repro.graphs import generators
-from repro.scenarios.suite import plan_campaign
+from repro.scenarios import run_scenario_suite
+from repro.scenarios.suite import fold_campaign, plan_campaign
+
+#: The scenario spelling of ``workload``, for suite sweeps.
+SPEC = "circulant:n=14,offsets=1+2/kernel"
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +53,15 @@ def _rows(campaigns):
     ]
 
 
+def _explicit(battery, chunk_size=DEFAULT_CHUNK_SIZE, cap=None):
+    return plan_campaign("explicit", 0, chunk_size, cap, fault_sets=battery)
+
+
+def _sweep(sizes, **kwargs):
+    spec = f"{SPEC}/sizes:{','.join(map(str, sizes))}"
+    return [row.campaign for row in run_scenario_suite([spec], **kwargs)]
+
+
 class TestShardSeed:
     def test_stable_across_calls(self):
         assert shard_seed(7, "size=3", 2) == shard_seed(7, "size=3", 2)
@@ -45,69 +72,71 @@ class TestShardSeed:
 
 
 class TestEngineDeterminism:
-    def test_run_campaign_same_rows_for_any_worker_count(self, workload):
+    def test_run_campaign_same_rows_for_any_worker_count(self, workload, index_campaign):
         graph, routing = workload
-        sequential = CampaignEngine(graph, routing, workers=1)
-        parallel = CampaignEngine(graph, routing, workers=3)
-        first = sequential.run_campaign(2, samples=40, seed=11)
-        second = parallel.run_campaign(2, samples=40, seed=11)
+        first = index_campaign(graph, routing, 2, samples=40, seed=11)
+        second = index_campaign(graph, routing, 2, samples=40, seed=11, workers=3)
         assert first == second
         assert first.worst_fault_set.nodes() == second.worst_fault_set.nodes()
 
-    def test_sweep_same_rows_for_any_worker_count(self, workload):
-        graph, routing = workload
-        sequential = CampaignEngine(graph, routing, workers=1)
-        parallel = CampaignEngine(graph, routing, workers=2)
-        assert _rows(
-            sequential.sweep_fault_sizes([0, 1, 2, 3], samples=15, seed=5)
-        ) == _rows(parallel.sweep_fault_sizes([0, 1, 2, 3], samples=15, seed=5))
+    def test_sweep_same_rows_for_any_worker_count(self):
+        assert _rows(_sweep([0, 1, 2, 3], samples=15, seed=5)) == _rows(
+            _sweep([0, 1, 2, 3], samples=15, seed=5, workers=2)
+        )
 
     def test_module_level_wrappers_forward_workers(self, workload):
         graph, routing = workload
-        sequential = CampaignEngine(graph, routing)
-        with CampaignEngine(graph, routing, workers=2) as parallel:
-            assert sequential.run_campaign(
-                2, samples=20, seed=9
-            ) == parallel.run_campaign(2, samples=20, seed=9)
-            assert _rows(
-                sequential.sweep_fault_sizes([1, 2], samples=10, seed=3)
-            ) == _rows(parallel.sweep_fault_sizes([1, 2], samples=10, seed=3))
+        battery = combined_fault_sets(graph, routing, 2, random_count=20, seed=3)
+        assert worst_case_diameter(graph, routing, battery) == worst_case_diameter(
+            graph, routing, battery, workers=2
+        )
+        sequential = check_tolerance(graph, routing, 3, 2)
+        parallel = check_tolerance(graph, routing, 3, 2, workers=2)
+        assert repr(sequential) == repr(parallel)
+        assert sequential.worst_fault_set == parallel.worst_fault_set
 
     def test_explicit_battery_same_for_any_worker_count(self, workload):
         graph, routing = workload
         battery = combined_fault_sets(graph, routing, 2, random_count=20, seed=0)
-        sequential = CampaignEngine(graph, routing, workers=1)
-        parallel = CampaignEngine(graph, routing, workers=2)
-        assert list(sequential.evaluate(battery)) == list(parallel.evaluate(battery))
+        index = RouteIndex(graph, routing)
+        assert list(evaluate_on_index(index, _explicit(battery))) == list(
+            evaluate_on_index(index, _explicit(battery), workers=2)
+        )
 
     def test_chunk_size_does_not_change_explicit_outcomes(self, workload):
         graph, routing = workload
         battery = combined_fault_sets(graph, routing, 2, random_count=20, seed=1)
-        small = CampaignEngine(graph, routing, chunk_size=3)
-        large = CampaignEngine(graph, routing, chunk_size=500)
-        assert list(small.evaluate(battery)) == list(large.evaluate(battery))
+        index = RouteIndex(graph, routing)
+        small = evaluate_on_index(index, _explicit(battery, chunk_size=3))
+        large = evaluate_on_index(index, _explicit(battery, chunk_size=500))
+        assert list(small) == list(large)
 
-    def test_duplicate_sweep_sizes_draw_independent_batteries(self, workload):
+    def test_duplicate_sweep_sizes_draw_independent_batteries(self):
         """Repeating a size in a sweep must sample fresh fault sets, not
-        replay the first campaign (seeds are derived per position)."""
-        graph, routing = workload
-        engine = CampaignEngine(graph, routing)
-        first, second = engine.sweep_fault_sizes([3, 3], samples=8, seed=0)
+        replay the first campaign (seeds hash the plan position)."""
+        first, second = _sweep([3, 3], samples=8, seed=0)
         assert first.worst_fault_set.nodes() != second.worst_fault_set.nodes()
 
     def test_pool_reused_across_campaigns_and_closeable(self, workload):
         graph, routing = workload
-        with CampaignEngine(graph, routing, workers=2) as engine:
-            engine.run_campaign(1, samples=5, seed=0)
-            pool = engine._executor._pool
+        index = RouteIndex(graph, routing)
+        battery = [FaultSet({0}), FaultSet({1, 2})]
+        executor = ShardExecutor(
+            {workload_key(None, None): (index, None)}, workers=2
+        )
+        try:
+            list(executor.run(_explicit(battery)))
+            pool = executor._pool
             assert pool is not None
-            engine.run_campaign(2, samples=5, seed=0)
-            assert engine._executor._pool is pool
-        assert engine._executor._pool is None
-        # Engine remains usable after close (a fresh pool is started).
-        result = engine.run_campaign(1, samples=5, seed=0)
-        assert result.samples == 5
-        engine.close()
+            list(executor.run(_explicit(battery)))
+            assert executor._pool is pool
+            executor.close()
+            assert executor._pool is None
+            # The executor remains usable after close (a fresh pool starts).
+            results = list(executor.run(_explicit(battery)))
+            assert [len(outcomes) for _task, (_fp, outcomes) in results] == [2]
+        finally:
+            executor.close()
 
 
 def _exhaustive_plan(graph, max_faults, chunk_size):
@@ -123,8 +152,6 @@ def _exhaustive_plan(graph, max_faults, chunk_size):
 
 class TestExhaustiveShards:
     def test_shards_reproduce_all_fault_sets_order(self, workload):
-        from repro.faults import all_fault_sets
-
         graph, _routing = workload
         sharded = [
             fault_set.nodes()
@@ -161,44 +188,34 @@ class TestExhaustiveShards:
         assert all(mode == "exhaustive" for mode, _, _, _ in first)
 
     def test_exhaustive_worst_case_matches_explicit_battery(self, workload):
-        from repro.faults import all_fault_sets
-
         graph, routing = workload
-        engine = CampaignEngine(graph, routing)
         battery = list(all_fault_sets(graph.nodes(), 2))
-        exact, exact_set, exact_count = engine.worst_case(battery)
-        worst, worst_set, evaluated, holds = engine.exhaustive_worst_case(
-            2, bound=float("inf")
-        )
-        assert holds
-        assert evaluated == exact_count == len(battery)
-        assert worst == exact
-        assert worst_set.nodes() == exact_set.nodes()
+        exact, exact_set, exact_count = worst_case_diameter(graph, routing, battery)
+        report = check_tolerance(graph, routing, float("inf"), 2)
+        assert report.exhaustive and report.holds
+        assert report.evaluated == exact_count == len(battery)
+        assert report.worst_diameter == exact
+        assert report.worst_fault_set.nodes() == exact_set.nodes()
 
     def test_exhaustive_parallel_matches_sequential(self, workload):
         graph, routing = workload
-        sequential = CampaignEngine(graph, routing, workers=1)
-        with CampaignEngine(graph, routing, workers=2) as parallel:
-            seq = sequential.exhaustive_worst_case(2, bound=float("inf"))
-            par = parallel.exhaustive_worst_case(2, bound=float("inf"))
-        assert seq[0] == par[0]
-        assert seq[1].nodes() == par[1].nodes()
-        assert seq[2:] == par[2:]
+        seq = check_tolerance(graph, routing, float("inf"), 2)
+        par = check_tolerance(graph, routing, float("inf"), 2, workers=2)
+        assert seq.worst_diameter == par.worst_diameter
+        assert seq.worst_fault_set.nodes() == par.worst_fault_set.nodes()
+        assert (seq.evaluated, seq.holds) == (par.evaluated, par.holds)
 
 
 class TestBoundedScan:
     def test_holding_bound_evaluates_everything_exactly(self, workload):
         graph, routing = workload
-        engine = CampaignEngine(graph, routing)
         battery = combined_fault_sets(graph, routing, 2, random_count=10, seed=4)
-        exact, exact_set, count = engine.worst_case(battery)
-        worst, worst_set, evaluated, holds = engine.bounded_worst_case(
-            battery, bound=exact
-        )
-        assert holds
-        assert evaluated == count
-        assert worst == exact
-        assert worst_set.nodes() == exact_set.nodes()
+        exact, exact_set, count = worst_case_diameter(graph, routing, battery)
+        report = check_tolerance(graph, routing, exact, 2, fault_sets=battery)
+        assert report.holds
+        assert report.evaluated == count
+        assert report.worst_diameter == exact
+        assert report.worst_fault_set.nodes() == exact_set.nodes()
 
     def test_violation_stops_at_first_witness(self):
         from repro.core import Routing
@@ -208,36 +225,36 @@ class TestBoundedScan:
         graph = _generators.cycle_graph(8)
         routing = Routing(graph, name="edges-only")
         routing.add_all_edge_routes()
-        engine = CampaignEngine(graph, routing)
         battery = [FaultSet(()), FaultSet({0}), FaultSet({1}), FaultSet({2})]
-        worst, worst_set, evaluated, holds = engine.bounded_worst_case(battery, 4)
-        assert not holds
-        assert worst_set.nodes() == frozenset({0})
-        assert evaluated == 2  # empty set + the first violating set
-        assert worst == 6  # exact witness diameter, not just "> bound"
+        report = check_tolerance(graph, routing, 4, 1, fault_sets=battery)
+        assert not report.holds
+        assert report.worst_fault_set.nodes() == frozenset({0})
+        assert report.evaluated == 2  # empty set + the first violating set
+        assert report.worst_diameter == 6  # exact witness diameter, not "> bound"
 
     def test_parallel_scan_matches_sequential(self, workload):
         graph, routing = workload
         battery = combined_fault_sets(graph, routing, 2, random_count=12, seed=8)
-        sequential = CampaignEngine(graph, routing, workers=1)
-        with CampaignEngine(graph, routing, workers=2) as parallel:
-            for bound in [2, 3, float("inf")]:
-                seq = sequential.bounded_worst_case(battery, bound)
-                par = parallel.bounded_worst_case(battery, bound)
-                assert seq[0] == par[0]
-                assert (seq[1] and seq[1].nodes()) == (par[1] and par[1].nodes())
-                assert seq[2:] == par[2:]
+        for bound in [2, 3, float("inf")]:
+            seq = check_tolerance(graph, routing, bound, 2, fault_sets=battery)
+            par = check_tolerance(
+                graph, routing, bound, 2, fault_sets=battery, workers=2
+            )
+            assert seq.worst_diameter == par.worst_diameter
+            assert seq.worst_fault_set == par.worst_fault_set
+            assert (seq.evaluated, seq.holds) == (par.evaluated, par.holds)
 
 
 class TestIndexShipping:
     def test_prebuilt_index_is_shipped_to_workers(self, workload):
-        """The executor's initializer must receive the slim engine index."""
+        """The executor's initializer must receive the slim index."""
         graph, routing = workload
-        from repro.core import RouteIndex
         from repro.faults import engine as engine_module
 
         index = RouteIndex(graph, routing)
-        engine = CampaignEngine(graph, routing, workers=2, index=index)
+        executor = ShardExecutor(
+            {workload_key(None, None): (index, None)}, workers=2
+        )
         recorded = {}
 
         class _FakePool:
@@ -260,15 +277,15 @@ class TestIndexShipping:
         original = multiprocessing.Pool
         multiprocessing.Pool = fake_pool_factory
         try:
-            engine._ensure_executor()._ensure_pool()
+            executor._ensure_pool()
         finally:
             multiprocessing.Pool = original
-            engine.close()
+            executor.close()
         assert len(recorded["initargs"]) == 1
         ((key, (shipped, fingerprint)),) = recorded["initargs"][0].items()
         assert fingerprint is None
-        # The slim payload shares the engine index's bitset structures but
-        # drops the graph and routing objects (they never cross the boundary).
+        # The slim payload shares the index's bitset structures but drops
+        # the graph and routing objects (they never cross the boundary).
         assert shipped is not index
         assert shipped.graph is None and shipped.routing is None
         assert shipped._base_rows is index._base_rows
@@ -277,24 +294,31 @@ class TestIndexShipping:
         assert engine_module._WORKLOADS[key][0] is shipped
         engine_module._WORKLOADS.clear()
 
-    def test_parallel_results_with_prebuilt_index(self, workload):
+    def test_parallel_results_with_prebuilt_index(self, workload, index_campaign):
         graph, routing = workload
-        from repro.core import RouteIndex
-
         index = RouteIndex(graph, routing)
-        sequential = CampaignEngine(graph, routing, workers=1, index=index)
-        with CampaignEngine(graph, routing, workers=2, index=index) as parallel:
-            assert sequential.run_campaign(2, samples=20, seed=3) == parallel.run_campaign(
-                2, samples=20, seed=3
-            )
+        sequential = index_campaign(graph, routing, 2, samples=20, seed=3, index=index)
+        parallel = index_campaign(
+            graph, routing, 2, samples=20, seed=3, index=index, workers=2
+        )
+        assert sequential == parallel
 
 
 class TestEngineSemantics:
     def test_worst_case_matches_tolerance_helper(self, workload):
         graph, routing = workload
         battery = combined_fault_sets(graph, routing, 2, random_count=15, seed=2)
-        engine = CampaignEngine(graph, routing)
-        assert engine.worst_case(battery) == worst_case_diameter(graph, routing, battery)
+        index = RouteIndex(graph, routing)
+        worst, worst_set = -1.0, None
+        for fault_set in battery:
+            diameter = index.surviving_diameter(fault_set)
+            if diameter > worst:
+                worst, worst_set = diameter, fault_set
+        assert worst_case_diameter(graph, routing, battery) == (
+            worst,
+            worst_set,
+            len(battery),
+        )
 
     def test_parallel_worst_case_matches_sequential(self, workload):
         graph, routing = workload
@@ -303,48 +327,52 @@ class TestEngineSemantics:
             graph, routing, battery, workers=2
         )
 
-    def test_empty_battery_rejected(self, workload):
+    def test_empty_battery_rejected(self, workload, index_campaign):
         graph, routing = workload
-        engine = CampaignEngine(graph, routing)
         with pytest.raises(ValueError):
-            engine.run_campaign(1, fault_sets=[])
+            index_campaign(graph, routing, 1, fault_sets=[])
 
-    def test_oversized_fault_size_rejected(self, workload):
-        graph, routing = workload
-        engine = CampaignEngine(graph, routing)
+    def test_oversized_fault_size_rejected(self):
         with pytest.raises(ValueError, match="fault size 15 exceeds the graph's 14"):
-            engine.run_campaign(graph.number_of_nodes() + 1, samples=5, seed=0)
+            _sweep([15], samples=5, seed=0)
 
     def test_invalid_parameters_rejected(self, workload):
         graph, routing = workload
-        with pytest.raises(ValueError):
-            CampaignEngine(graph, routing, workers=0)
-        with pytest.raises(ValueError):
-            CampaignEngine(graph, routing, chunk_size=0)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            worst_case_diameter(graph, routing, [FaultSet({0})], workers=0)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            check_tolerance(graph, routing, 3, 1, workers=0)
+        with pytest.raises(ValueError, match="chunk_size must be at least 1"):
+            _explicit([FaultSet({0})], chunk_size=0)
 
     def test_mismatched_index_rejected(self, workload):
         graph, routing = workload
         other = generators.cycle_graph(10)
-        other_routing = kernel_routing(other).routing
-        from repro.core import RouteIndex
+        other_index = RouteIndex(other, kernel_routing(other).routing)
+        with pytest.raises(ValueError, match="different graph or routing"):
+            check_tolerance(graph, routing, 3, 1, index=other_index)
+        with pytest.raises(ValueError, match="different graph or routing"):
+            worst_case_diameter(graph, routing, [FaultSet({0})], index=other_index)
 
-        with pytest.raises(ValueError):
-            CampaignEngine(graph, routing, index=RouteIndex(other, other_routing))
-
-    def test_index_reuse_across_calls(self, workload):
+    def test_index_reuse_across_calls(self, workload, monkeypatch):
         graph, routing = workload
-        from repro.core import RouteIndex
+        from repro.core import tolerance
 
         index = RouteIndex(graph, routing)
-        engine = CampaignEngine(graph, routing, index=index)
-        assert engine.index is index
-        engine.run_campaign(1, samples=5, seed=0)
-        assert engine.index is index
+        monkeypatch.setattr(
+            tolerance,
+            "RouteIndex",
+            lambda *args, **kwargs: pytest.fail("a supplied index was rebuilt"),
+        )
+        first = check_tolerance(graph, routing, 3, 1, index=index)
+        second = check_tolerance(graph, routing, 3, 1, index=index)
+        assert repr(first) == repr(second)
 
     def test_evaluate_preserves_battery_order(self, workload):
         graph, routing = workload
         battery = [FaultSet({0}), FaultSet({1}), FaultSet({2})]
-        profile = list(CampaignEngine(graph, routing).evaluate(battery))
+        index = RouteIndex(graph, routing)
+        profile = list(evaluate_on_index(index, _explicit(battery)))
         assert [fault_set.nodes() for fault_set, _ in profile] == [
             frozenset({0}),
             frozenset({1}),
@@ -354,38 +382,44 @@ class TestEngineSemantics:
 
 
 class TestGreedyAugmentation:
+    @staticmethod
+    def _greedy_tasks(samples, seed, chunk_size=DEFAULT_CHUNK_SIZE, limit=40):
+        return plan_campaign(
+            "random",
+            2,
+            chunk_size,
+            total=samples,
+            seed=seed,
+            tag="size=2",
+            greedy_seed=shard_seed(seed, "greedy:size=2", 0),
+            candidate_limit=limit,
+        )
+
     def test_greedy_probe_is_planned_as_a_trailing_pool_task(self, workload):
         graph, routing = workload
-        engine = CampaignEngine(graph, routing, chunk_size=4)
-        tasks = list(
-            plan_campaign(
-                "random",
-                2,
-                4,
-                total=10,
-                seed=6,
-                tag="size=2",
-                greedy_seed=shard_seed(6, "greedy:size=2", 0),
-                candidate_limit=7,
-            )
-        )
+        index = RouteIndex(graph, routing)
+        tasks = list(self._greedy_tasks(10, 6, chunk_size=4, limit=7))
         assert [task.mode for task in tasks] == ["random"] * 3 + ["greedy"]
-        outcomes = list(engine._evaluate_shards(tasks))
+        outcomes = list(evaluate_on_index(index, tasks))
         assert len(outcomes) == 11
         fault_set, diameter = outcomes[-1]
         assert fault_set.description == "greedy adversarial"
         assert len(fault_set) == 2
-        assert diameter == engine.index.surviving_diameter(fault_set.nodes())
+        assert diameter == index.surviving_diameter(fault_set.nodes())
 
-    def test_pooled_greedy_probe_is_grown_by_a_worker(self, workload, monkeypatch):
+    def test_pooled_greedy_probe_is_grown_by_a_worker(
+        self, workload, index_campaign, monkeypatch
+    ):
         from repro.faults import adversary
 
         graph, routing = workload
-        expected = CampaignEngine(graph, routing).run_campaign(
-            2, samples=6, seed=3, greedy=True
+        expected = index_campaign(graph, routing, 2, samples=6, seed=3, greedy=True)
+        index = RouteIndex(graph, routing)
+        executor = ShardExecutor(
+            {workload_key(None, None): (index, None)}, workers=2
         )
-        with CampaignEngine(graph, routing, workers=2) as engine:
-            engine.run_campaign(1, samples=2, seed=0)  # start the pool
+        try:
+            list(executor.run(_explicit([FaultSet({0})])))  # start the pool
             # Workers forked above keep the real search; the parent must
             # never grow a greedy set itself.
             monkeypatch.setattr(
@@ -393,63 +427,63 @@ class TestGreedyAugmentation:
                 "greedy_fault_set_from_index",
                 lambda *args, **kwargs: pytest.fail("greedy grown in the parent"),
             )
-            pooled = engine.run_campaign(2, samples=6, seed=3, greedy=True)
+            outcomes = [
+                outcome
+                for _task, (_fp, shard) in executor.run(self._greedy_tasks(6, 3))
+                for outcome in shard
+            ]
+        finally:
+            executor.close()
+        pooled = fold_campaign(2, outcomes, None, index.eval_backend, 40)
         assert pooled == expected
 
-    def test_greedy_campaign_adds_one_battery_member(self, workload):
+    def test_greedy_campaign_adds_one_battery_member(self, workload, index_campaign):
         graph, routing = workload
-        engine = CampaignEngine(graph, routing)
-        plain = engine.run_campaign(2, samples=8, seed=4)
-        augmented = engine.run_campaign(2, samples=8, seed=4, greedy=True)
+        plain = index_campaign(graph, routing, 2, samples=8, seed=4)
+        augmented = index_campaign(graph, routing, 2, samples=8, seed=4, greedy=True)
         assert plain.samples == 8
         assert augmented.samples == 9
         # The adversarial probe can only worsen (or match) the worst case.
         assert augmented.max_diameter >= plain.max_diameter
 
-    def test_greedy_campaign_stamps_provenance_columns(self, workload):
+    def test_greedy_campaign_stamps_provenance_columns(self, workload, index_campaign):
         graph, routing = workload
-        engine = CampaignEngine(graph, routing)
-        augmented = engine.run_campaign(
-            2, samples=5, seed=1, greedy=True, candidate_limit=7
+        augmented = index_campaign(
+            graph, routing, 2, samples=5, seed=1, greedy=True, candidate_limit=7
         )
-        plain = engine.run_campaign(2, samples=5, seed=1)
+        plain = index_campaign(graph, routing, 2, samples=5, seed=1)
+        backend = RouteIndex(graph, routing).eval_backend
         assert augmented.candidate_limit == 7
         assert plain.candidate_limit is None
-        assert augmented.eval_backend == engine.index.eval_backend
+        assert augmented.eval_backend == backend
         record = augmented.record()
         assert record["candidate_limit"] == 7
-        assert record["backend"] == engine.index.eval_backend
+        assert record["backend"] == backend
 
-    def test_greedy_campaign_deterministic_across_workers(self, workload):
+    def test_greedy_campaign_deterministic_across_workers(
+        self, workload, index_campaign
+    ):
         graph, routing = workload
-        sequential = CampaignEngine(graph, routing).run_campaign(
-            2, samples=10, seed=6, greedy=True
-        )
-        parallel = CampaignEngine(graph, routing, workers=2).run_campaign(
-            2, samples=10, seed=6, greedy=True
+        sequential = index_campaign(graph, routing, 2, samples=10, seed=6, greedy=True)
+        parallel = index_campaign(
+            graph, routing, 2, samples=10, seed=6, greedy=True, workers=2
         )
         assert sequential.as_row() == parallel.as_row()
         assert sequential.worst_fault_set == parallel.worst_fault_set
 
-    def test_greedy_sweep_passthrough(self, workload):
-        graph, routing = workload
-        engine = CampaignEngine(graph, routing)
-        campaigns = engine.sweep_fault_sizes(
-            [0, 2], samples=5, seed=3, greedy=True, candidate_limit=5
-        )
+    def test_greedy_sweep_passthrough(self):
+        campaigns = _sweep([0, 2], samples=5, seed=3, greedy=True, candidate_limit=5)
         # Size 0 has no greedy probe (nothing to grow); size 2 does.
         assert campaigns[0].samples == 5
         assert campaigns[0].candidate_limit is None
         assert campaigns[1].samples == 6
         assert campaigns[1].candidate_limit == 5
 
-    def test_greedy_round_trips_through_record(self, workload):
+    def test_greedy_round_trips_through_record(self, workload, index_campaign):
         graph, routing = workload
         from repro.faults import CampaignResult
 
-        campaign = CampaignEngine(graph, routing).run_campaign(
-            2, samples=5, seed=2, greedy=True
-        )
+        campaign = index_campaign(graph, routing, 2, samples=5, seed=2, greedy=True)
         restored = CampaignResult.from_record(campaign.record())
         assert restored == campaign
         assert restored.candidate_limit == campaign.candidate_limit

@@ -3,8 +3,8 @@
 The supervision layer's whole claim is that fault recovery is *invisible in
 the results*: a sweep that loses a worker, hits a poisoned task, wedges on
 a hang or tears a store write must end with byte-identical store contents
-to an undisturbed run.  These tests drive :func:`run_scenario_suite`,
-:class:`~repro.faults.engine.CampaignEngine` and the ``repro grid`` /
+to an undisturbed run.  These tests drive :func:`run_scenario_suite`, the
+tolerance scans of :mod:`repro.core.tolerance` and the ``repro grid`` /
 ``repro campaign`` CLI under ``REPRO_CHAOS`` injections (see
 :mod:`repro.runtime.chaos`) and compare results byte for byte against a
 golden run.
@@ -25,8 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import render_scaling_report
-from repro.core import kernel_routing
-from repro.faults import CampaignEngine
+from repro.core import check_tolerance, kernel_routing
 from repro.faults.simulation import CampaignStatus
 from repro.graphs import generators
 from repro.results import ResultStore
@@ -268,7 +267,8 @@ class TestBuildFaults:
 
 
 class TestEngineFaults:
-    """Engine campaigns share the suite's crash recovery."""
+    """Tolerance scans and ``repro campaign --graph`` share the suite's
+    crash recovery: both run on the shard executor's supervisor."""
 
     ARGS = [
         "campaign", "--graph", "circulant:24,1,2", "--sizes", "1,2",
@@ -279,9 +279,8 @@ class TestEngineFaults:
     def _rows(workers):
         graph = generators.circulant_graph(14, [1, 2])
         routing = kernel_routing(graph).routing
-        with CampaignEngine(graph, routing, workers=workers, policy=FAST) as engine:
-            rows = engine.sweep_fault_sizes([1, 2], samples=20, seed=5, bound=3)
-            return [row.record() for row in rows]
+        report = check_tolerance(graph, routing, 3, 2, workers=workers)
+        return repr(report), report.worst_fault_set
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_poisoned_shard_retries_byte_identical(

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.cli import GRAPH_FACTORIES, build_parser, main, parse_graph_spec
+from repro.core import build_routing
+from repro.exceptions import ReproError
 from repro.serialization import construction_from_dict, load_json
 
 
@@ -123,7 +125,8 @@ class TestCommands:
         )
         assert code == 0
         output = capsys.readouterr().out
-        assert "Fault campaigns" in output
+        assert "Scenario suite (1 scenarios" in output
+        assert "circulant:n=12,offsets=1+2/auto/sizes:0,1,2" in output
         assert "mean_diam" in output
 
     def test_campaign_command_worker_count_invariance(self, capsys):
@@ -168,6 +171,55 @@ class TestScenarioCampaignFlags:
             )
             assert code == 2
             assert "has no effect with --scenario" in capsys.readouterr().err
+
+    def test_scenario_refuses_any_given_sizes(self, capsys):
+        """Even the --graph default spelled out is refused, not ignored."""
+        code = main(
+            [
+                "campaign",
+                "--scenario", "petersen/kernel/sizes:1",
+                "--sizes", "1,2,3",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--sizes has no effect with --scenario" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_graph_spelling_equals_its_one_point_scenario(self, capsys, workers):
+        battery = ["--samples", "6", "--seed", "4", "--workers", workers]
+        graph = [
+            "--graph", "hypercube:d=3",
+            "--strategy", "kernel",
+            "--t", "2",
+            "--sizes", "1,2",
+        ]
+        assert main(["campaign", *graph, *battery]) == 0
+        graph_out = capsys.readouterr().out
+        scenario = ["--scenario", "hypercube:d=3/kernel/t=2/sizes:1,2"]
+        assert main(["campaign", *scenario, *battery]) == 0
+        assert capsys.readouterr().out == graph_out
+        assert "worst at |F|=2: <FaultSet" in graph_out
+
+    def test_graph_inapplicable_strategy_exits_with_construction_message(
+        self, capsys
+    ):
+        graph = parse_graph_spec("hypercube:3")
+        with pytest.raises(ReproError) as refusal:
+            build_routing(graph, strategy="bipolar-uni")
+        code = main(
+            [
+                "campaign",
+                "--graph", "hypercube:3",
+                "--strategy", "bipolar-uni",
+                "--samples", "2",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {refusal.value}\n"
+        assert captured.out == ""
 
     def test_scenario_and_graph_are_exclusive(self, capsys):
         code = main(
